@@ -68,6 +68,11 @@ pub enum AllocationPolicy {
 pub struct BlockAllocator {
     rng: StdRng,
     policy: AllocationPolicy,
+    /// Per-call scratch: how many of the block's units sit in each
+    /// channel, bank, and `(channel, bank)` lane.
+    channel_use: Vec<u32>,
+    bank_use: Vec<u32>,
+    lane_use: Vec<u32>,
 }
 
 impl BlockAllocator {
@@ -82,6 +87,9 @@ impl BlockAllocator {
         BlockAllocator {
             rng: StdRng::seed_from_u64(seed),
             policy,
+            channel_use: Vec::new(),
+            bank_use: Vec::new(),
+            lane_use: Vec::new(),
         }
     }
 
@@ -126,9 +134,16 @@ impl BlockAllocator {
             // Lane exhausted: fall through to the general policy.
         }
 
-        let mut channel_use = vec![0u32; channels as usize];
-        let mut bank_use = vec![0u32; banks as usize];
-        let mut lane_use = vec![0u32; (channels * banks) as usize];
+        let BlockAllocator {
+            rng,
+            channel_use,
+            bank_use,
+            lane_use,
+            ..
+        } = self;
+        zero_counts(channel_use, channels);
+        zero_counts(bank_use, banks);
+        zero_counts(lane_use, channels * banks);
         let mut last: Option<UnitLocation> = None;
         for loc in existing.iter().flatten() {
             channel_use[loc.channel as usize] += 1;
@@ -139,10 +154,7 @@ impl BlockAllocator {
 
         // Candidate (channel, bank) per the four rules.
         let (mut channel, mut bank) = match last {
-            None => (
-                self.rng.gen_range(0..channels),
-                self.rng.gen_range(0..banks),
-            ),
+            None => (rng.gen_range(0..channels), rng.gen_range(0..banks)),
             Some(last) => {
                 let cur_bank = last.bank;
                 let bank_full =
@@ -203,6 +215,12 @@ impl BlockAllocator {
         }
         Err(NdsError::DeviceFull { channel, bank })
     }
+}
+
+/// Resets a reused per-call counter table to `len` zeros.
+fn zero_counts(counts: &mut Vec<u32>, len: u32) {
+    counts.clear();
+    counts.resize(len as usize, 0);
 }
 
 #[cfg(test)]

@@ -111,14 +111,25 @@ impl Shape {
     ///
     /// Panics if `index >= volume()`.
     pub fn coord_at(&self, index: u64) -> Vec<u64> {
-        assert!(index < self.volume(), "linear index out of bounds");
-        let mut rest = index;
         let mut coord = Vec::with_capacity(self.dims.len());
+        self.coord_into(index, &mut coord);
+        coord
+    }
+
+    /// [`coord_at`](Self::coord_at) into a reused buffer: `coord` is
+    /// cleared and refilled.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= volume()`.
+    pub fn coord_into(&self, index: u64, coord: &mut Vec<u64>) {
+        assert!(index < self.volume(), "linear index out of bounds");
+        coord.clear();
+        let mut rest = index;
         for &d in &self.dims {
             coord.push(rest % d);
             rest /= d;
         }
-        coord
     }
 
     /// The whole shape as a region at the origin.

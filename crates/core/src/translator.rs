@@ -159,6 +159,10 @@ pub fn translate_region(
 
     let mut per_block: BTreeMap<Vec<u64>, Vec<Segment>> = BTreeMap::new();
     let mut total_bytes = 0u64;
+    // Reused per storage row and per segment; a block's key is cloned only
+    // when the block is first seen.
+    let mut storage_coord = Vec::with_capacity(space.ndims());
+    let mut block_coord = Vec::with_capacity(space.ndims());
 
     region.for_each_run(view, |buf_elem_off, linear_start, len| {
         // The run is contiguous in the canonical linearization shared by the
@@ -168,7 +172,7 @@ pub fn translate_region(
         let mut linear = linear_start;
         let mut buf_off = buf_elem_off;
         while remaining > 0 {
-            let storage_coord = space.coord_at(linear);
+            space.coord_into(linear, &mut storage_coord);
             let x1 = storage_coord.first().copied().unwrap_or(0);
             let row_take = remaining.min(d1 - x1);
             // Split [x1, x1 + row_take) at block boundaries along dim 0.
@@ -181,7 +185,7 @@ pub fn translate_region(
                 let seg_len = seg_end - seg_x;
 
                 // Block coordinate and intra-block offset.
-                let mut block_coord = Vec::with_capacity(storage_coord.len());
+                block_coord.clear();
                 let mut intra_linear = 0u64;
                 let mut stride = 1u64;
                 for (i, (&x, &bb_i)) in storage_coord.iter().zip(bb_dims).enumerate() {
@@ -193,11 +197,17 @@ pub fn translate_region(
                 }
                 debug_assert!(intra_linear < bb_volume);
 
-                per_block.entry(block_coord).or_default().push(Segment {
+                let segment = Segment {
                     block_offset: intra_linear * elem,
                     buffer_offset: (buf_off + (seg_x - x1)) * elem,
                     len: seg_len * elem,
-                });
+                };
+                match per_block.get_mut(block_coord.as_slice()) {
+                    Some(segments) => segments.push(segment),
+                    None => {
+                        per_block.insert(block_coord.clone(), vec![segment]);
+                    }
+                }
                 total_bytes += seg_len * elem;
                 seg_x = seg_end;
             }

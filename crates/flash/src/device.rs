@@ -214,8 +214,16 @@ impl FlashDevice {
     /// * [`FlashError::PageNotFree`] if the page already holds data — NAND
     ///   pages are program-once.
     /// * [`FlashError::BadPayloadSize`] if `payload` is not exactly one page.
-    pub fn program(&mut self, addr: PageAddr, payload: Vec<u8>) -> Result<(), FlashError> {
+    ///
+    /// An owned `Vec<u8>` or `Box<[u8]>` payload moves into the page store;
+    /// a borrowed `&[u8]` is copied once.
+    pub fn program(
+        &mut self,
+        addr: PageAddr,
+        payload: impl Into<Box<[u8]>>,
+    ) -> Result<(), FlashError> {
         let idx = self.check(addr)?;
+        let payload = payload.into();
         if payload.len() != self.config.geometry.page_size {
             return Err(FlashError::BadPayloadSize {
                 got: payload.len(),
@@ -226,7 +234,7 @@ impl FlashDevice {
             return Err(FlashError::PageNotFree(addr));
         }
         self.state[idx] = PageState::Valid;
-        self.data[idx] = Some(payload.into_boxed_slice());
+        self.data[idx] = Some(payload);
         let bank = self.bank_id(addr);
         self.free_count[bank] -= 1;
         self.stats.add("flash.pages_programmed", 1);
@@ -468,35 +476,50 @@ impl FlashDevice {
     /// reads while transfers serialize on the channel bus — the pipelining
     /// the paper exploits for building-block accesses.
     pub fn schedule_reads(&mut self, pages: &[PageAddr], ready: SimTime) -> SimTime {
-        self.schedule_reads_detailed(pages, ready)
-            .into_iter()
-            .fold(ready, SimTime::max)
+        let cost = self.read_cost();
+        pages.iter().fold(ready, |done, &p| {
+            done.max(self.schedule_read(p, ready, cost))
+        })
     }
 
     /// Like [`schedule_reads`](Self::schedule_reads) but returns the
     /// completion instant of every page, in input order — used by assembly
     /// models that start work as soon as individual pages land.
     pub fn schedule_reads_detailed(&mut self, pages: &[PageAddr], ready: SimTime) -> Vec<SimTime> {
-        let transfer = self
-            .config
-            .timing
-            .transfer_time(self.config.geometry.page_size);
-        let read_lat = self.config.timing.read_latency;
+        let cost = self.read_cost();
         pages
             .iter()
-            .map(|&p| {
-                let bank_end = self.banks.acquire(self.bank_id(p), ready, read_lat);
-                let end = self.channels.acquire(p.channel, bank_end, transfer);
-                self.obs
-                    .event(end, FLASH_COMPONENT, || EventKind::PageRead {
-                        channel: p.channel as u32,
-                        bank: p.bank as u32,
-                    });
-                self.obs
-                    .latency("flash.read_page", end.saturating_since(ready));
-                end
-            })
+            .map(|&p| self.schedule_read(p, ready, cost))
             .collect()
+    }
+
+    /// `(array read, page transfer)` durations of one page read.
+    fn read_cost(&self) -> (SimDuration, SimDuration) {
+        let timing = &self.config.timing;
+        (
+            timing.read_latency,
+            timing.transfer_time(self.config.geometry.page_size),
+        )
+    }
+
+    /// One page of a read batch: the bank holds for the array read, then
+    /// the channel for the transfer.
+    fn schedule_read(
+        &mut self,
+        p: PageAddr,
+        ready: SimTime,
+        (read_lat, transfer): (SimDuration, SimDuration),
+    ) -> SimTime {
+        let bank_end = self.banks.acquire(self.bank_id(p), ready, read_lat);
+        let end = self.channels.acquire(p.channel, bank_end, transfer);
+        self.obs
+            .event(end, FLASH_COMPONENT, || EventKind::PageRead {
+                channel: p.channel as u32,
+                bank: p.bank as u32,
+            });
+        self.obs
+            .latency("flash.read_page", end.saturating_since(ready));
+        end
     }
 
     /// Schedules a batch of page programs and returns the batch completion

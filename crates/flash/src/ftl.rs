@@ -8,8 +8,6 @@
 //! updates, and garbage-collects invalidated pages. Its logical→physical
 //! shuffling is exactly the opacity challenge \[C1\] that NDS's STL replaces.
 
-use std::collections::BTreeMap;
-
 use nds_faults::FaultConfig;
 use nds_sim::{SimTime, Stats, Trace};
 use serde::{Deserialize, Serialize};
@@ -62,19 +60,34 @@ impl Default for FtlConfig {
 pub struct Ftl {
     device: FlashDevice,
     config: FtlConfig,
-    map: Vec<Option<PageAddr>>,
-    reverse: BTreeMap<usize, u64>,
+    /// LBA → dense page index + 1 (0: never written or trimmed).
+    map: Vec<u32>,
+    /// Dense page index → LBA + 1 of its live copy (0: none), for GC and
+    /// fault relocation.
+    reverse: Vec<u32>,
     stats: Stats,
     trace: Trace,
 }
 
 impl Ftl {
     /// Wraps `device` with a baseline FTL.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the device has `u32::MAX` pages or more: both maps store
+    /// an index + 1 in a `u32`.
     pub fn new(device: FlashDevice, config: FtlConfig) -> Self {
         let exported = Ftl::exported_pages(&device, &config);
+        let total = device.geometry().total_pages();
+        assert!(
+            u32::try_from(total).is_ok_and(|t| t < u32::MAX),
+            "{total} flash pages overflow the FTL's u32 maps"
+        );
+        // Zeroed allocations: the OS hands out zero pages lazily, so an
+        // unwritten region of the LBA space costs no resident memory.
         Ftl {
-            map: vec![None; exported as usize],
-            reverse: BTreeMap::new(),
+            map: vec![0; exported as usize],
+            reverse: vec![0; total],
             stats: Stats::new(),
             trace: Trace::disabled(256),
             device,
@@ -134,7 +147,43 @@ impl Ftl {
 
     /// The physical location currently backing `lba`, if written.
     pub fn physical_of(&self, lba: u64) -> Option<PageAddr> {
-        self.map.get(lba as usize).copied().flatten()
+        let idx = self.map.get(lba as usize)?.checked_sub(1)?;
+        Some(self.device.geometry().page_at(idx as usize))
+    }
+
+    /// Records `page` as the live copy of `lba` in both maps.
+    fn map_lba(&mut self, lba: u64, page: PageAddr) {
+        let idx = self.device.geometry().page_index(page);
+        // `new` bounds every page index and LBA below `u32::MAX`.
+        if let Some(slot) = self.map.get_mut(lba as usize) {
+            *slot = idx as u32 + 1;
+        }
+        if let Some(slot) = self.reverse.get_mut(idx) {
+            *slot = lba as u32 + 1;
+        }
+    }
+
+    /// Removes `lba`'s mapping, returning the page that backed it.
+    fn unmap_lba(&mut self, lba: u64) -> Option<PageAddr> {
+        let idx = std::mem::take(self.map.get_mut(lba as usize)?).checked_sub(1)? as usize;
+        if let Some(slot) = self.reverse.get_mut(idx) {
+            *slot = 0;
+        }
+        Some(self.device.geometry().page_at(idx))
+    }
+
+    /// Removes and returns the LBA whose live copy is `page`.
+    fn take_reverse(&mut self, page: PageAddr) -> Result<u64, FlashError> {
+        let idx = self.device.geometry().page_index(page);
+        self.reverse
+            .get_mut(idx)
+            .map(std::mem::take)
+            .and_then(|lba| lba.checked_sub(1))
+            .map(u64::from)
+            .ok_or(FlashError::Inconsistent {
+                addr: page,
+                what: "valid page missing from the reverse map",
+            })
     }
 
     /// Reads the bytes of `lba` without touching timing or counters (the
@@ -193,10 +242,8 @@ impl Ftl {
         let mut now = ready;
 
         // Supersede the old copy first so GC can reclaim it.
-        if let Some(old) = self.map[lba as usize].take() {
+        if let Some(old) = self.unmap_lba(lba) {
             self.device.invalidate(old)?;
-            let old_idx = self.device.geometry().page_index(old);
-            self.reverse.remove(&old_idx);
         }
 
         now = self.maybe_gc(channel, bank, now)?;
@@ -219,9 +266,7 @@ impl Ftl {
         }
         self.device.program(target, payload)?;
         let done = self.device.schedule_programs(&[target], now);
-        let idx = self.device.geometry().page_index(target);
-        self.map[lba as usize] = Some(target);
-        self.reverse.insert(idx, lba);
+        self.map_lba(lba, target);
         Ok(done)
     }
 
@@ -233,7 +278,9 @@ impl Ftl {
     /// * [`FlashError::LbaNotWritten`] if `lba` was never written.
     pub fn read(&mut self, lba: u64, ready: SimTime) -> Result<(Vec<u8>, SimTime), FlashError> {
         self.check_lba(lba)?;
-        let addr = self.map[lba as usize].ok_or(FlashError::LbaNotWritten(lba))?;
+        let addr = self
+            .physical_of(lba)
+            .ok_or(FlashError::LbaNotWritten(lba))?;
         let done = self.device.fault_read_batch(&[addr], ready)?;
         // Capture the bytes before preventive migration can move the page.
         let data = self.device.read(addr)?.to_vec();
@@ -259,7 +306,7 @@ impl Ftl {
         let mut addrs = Vec::with_capacity(count as usize);
         for l in lba..lba + count {
             self.check_lba(l)?;
-            addrs.push(self.map[l as usize].ok_or(FlashError::LbaNotWritten(l))?);
+            addrs.push(self.physical_of(l).ok_or(FlashError::LbaNotWritten(l))?);
         }
         let done = self.device.fault_read_batch(&addrs, ready)?;
         let mut data = Vec::with_capacity(count as usize * self.page_size());
@@ -279,10 +326,8 @@ impl Ftl {
     /// [`FlashError::LbaOutOfRange`] if `lba` exceeds exported capacity.
     pub fn trim(&mut self, lba: u64) -> Result<(), FlashError> {
         self.check_lba(lba)?;
-        if let Some(addr) = self.map[lba as usize].take() {
+        if let Some(addr) = self.unmap_lba(lba) {
             self.device.invalidate(addr)?;
-            let idx = self.device.geometry().page_index(addr);
-            self.reverse.remove(&idx);
             self.stats.add("ftl.trimmed", 1);
         }
         Ok(())
@@ -358,14 +403,9 @@ impl Ftl {
                 .ok_or(FlashError::DeviceFull)?;
             self.device.program(dest, data)?;
             now = self.device.schedule_programs(&[dest], now);
-            let idx = g.page_index(addr);
-            let lba = self.reverse.remove(&idx).ok_or(FlashError::Inconsistent {
-                addr,
-                what: "valid page missing from the reverse map",
-            })?;
+            let lba = self.take_reverse(addr)?;
             self.device.invalidate(addr)?;
-            self.map[lba as usize] = Some(dest);
-            self.reverse.insert(g.page_index(dest), lba);
+            self.map_lba(lba, dest);
             self.stats.add("faults.migrated", 1);
         }
         Ok(now)
@@ -450,15 +490,9 @@ impl Ftl {
                         .ok_or(FlashError::DeviceFull)?;
                     self.device.program(dest, data)?;
                     now = self.device.schedule_programs(&[dest], now);
-                    let idx = g.page_index(addr);
-                    let lba = self.reverse.remove(&idx).ok_or(FlashError::Inconsistent {
-                        addr,
-                        what: "valid page missing from the reverse map",
-                    })?;
+                    let lba = self.take_reverse(addr)?;
                     self.device.invalidate(addr)?;
-                    let dest_idx = g.page_index(dest);
-                    self.map[lba as usize] = Some(dest);
-                    self.reverse.insert(dest_idx, lba);
+                    self.map_lba(lba, dest);
                     self.stats.add("ftl.gc_relocated", 1);
                 }
             }

@@ -29,6 +29,11 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(stats.get("link.commands"), 2);
 /// assert_eq!(stats.get("link.bytes"), 4096);
 /// assert_eq!(stats.get("never.touched"), 0);
+/// // Adding to an existing counter keeps its value and the name order.
+/// stats.add("link.bytes", 512);
+/// assert_eq!(stats.get("link.bytes"), 4608);
+/// let names: Vec<&str> = stats.iter().map(|(name, _)| name).collect();
+/// assert_eq!(names, ["link.bytes", "link.commands"]);
 /// ```
 #[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Stats {
@@ -42,8 +47,14 @@ impl Stats {
     }
 
     /// Adds `delta` to counter `name`, creating it at zero if absent.
+    /// Only the first add of a name allocates its key.
     pub fn add(&mut self, name: &str, delta: u64) {
-        *self.counters.entry(name.to_owned()).or_insert(0) += delta;
+        match self.counters.get_mut(name) {
+            Some(value) => *value += delta,
+            None => {
+                self.counters.insert(name.to_owned(), delta);
+            }
+        }
     }
 
     /// Current value of counter `name` (zero if never touched).
@@ -80,8 +91,8 @@ impl Stats {
 
     /// Merges another registry into this one, summing shared counters.
     pub fn merge(&mut self, other: &Stats) {
-        for (name, value) in &other.counters {
-            *self.counters.entry(name.clone()).or_insert(0) += value;
+        for (name, &value) in &other.counters {
+            self.add(name, value);
         }
     }
 

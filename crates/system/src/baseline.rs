@@ -244,6 +244,16 @@ impl BaselineSystem {
     }
 }
 
+/// Copies `payload` into a staged page image at byte `at`. Ranges are
+/// equal-length by construction; checked slicing keeps the data path
+/// panic-free (nds-lint D4).
+fn patch(image: &mut [u8], at: u64, payload: &[u8]) {
+    let at = at as usize;
+    if let Some(dst) = image.get_mut(at..at + payload.len()) {
+        dst.copy_from_slice(payload);
+    }
+}
+
 impl StorageFrontEnd for BaselineSystem {
     fn name(&self) -> &'static str {
         "baseline"
@@ -307,11 +317,18 @@ impl StorageFrontEnd for BaselineSystem {
             SimDuration::ZERO
         };
 
-        // Build per-page images (read-modify-write at the edges) and write
-        // through the FTL.
+        // Build per-page images and write through the FTL. Extents ascend
+        // in dataset offset, so the staged pages come out in ascending LBA
+        // order and a page shared by several extents is always the last
+        // one staged. Only partially covered edge pages read their old
+        // contents (read-modify-write).
+        debug_assert!(extents
+            .iter()
+            .zip(extents.iter().skip(1))
+            .all(|(a, b)| a.dataset_off + a.len <= b.dataset_off));
         let ps = self.page_size();
         let commands = self.commands_for(&ds, &extents);
-        let mut pages: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+        let mut pages: Vec<(u64, Vec<u8>)> = Vec::new();
         for e in &extents {
             let mut off = e.dataset_off;
             let mut src = e.buffer_off;
@@ -320,16 +337,20 @@ impl StorageFrontEnd for BaselineSystem {
                 let lba = ds.base_lba + off / ps;
                 let in_page = off % ps;
                 let take = remaining.min(ps - in_page);
-                let image = pages.entry(lba).or_insert_with(|| {
-                    self.ftl
+                let payload = data
+                    .get(src as usize..(src + take) as usize)
+                    .unwrap_or_default();
+                if let Some((_, image)) = pages.last_mut().filter(|(last, _)| *last == lba) {
+                    patch(image, in_page, payload);
+                } else if payload.len() as u64 == ps {
+                    pages.push((lba, payload.to_vec()));
+                } else {
+                    let mut image = self
+                        .ftl
                         .peek(lba)
-                        .map(<[u8]>::to_vec)
-                        .unwrap_or_else(|| vec![0; ps as usize])
-                });
-                let dst = image.get_mut(in_page as usize..(in_page + take) as usize);
-                let payload = data.get(src as usize..(src + take) as usize);
-                if let (Some(dst), Some(payload)) = (dst, payload) {
-                    dst.copy_from_slice(payload);
+                        .map_or_else(|| vec![0; ps as usize], <[u8]>::to_vec);
+                    patch(&mut image, in_page, payload);
+                    pages.push((lba, image));
                 }
                 off += take;
                 src += take;
@@ -337,7 +358,6 @@ impl StorageFrontEnd for BaselineSystem {
             }
         }
         let mut program_end = SimTime::ZERO;
-        // BTreeMap iteration is already in ascending LBA order.
         for (lba, image) in pages {
             let end = self.ftl.write(lba, image, SimTime::ZERO)?;
             program_end = program_end.max(end);

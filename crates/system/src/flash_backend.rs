@@ -9,12 +9,15 @@
 //! which exists so that physical relocation never invalidates the STL's
 //! building-block unit lists.
 //!
+//! Both directions of the indirection are dense integer tables that grow
+//! with use: per lane, a handle-id-indexed forward table and a
+//! page-offset-indexed reverse table, so a lookup is two array loads.
+//!
 //! The adapter also exposes the *timing* face of unit accesses
 //! ([`schedule_unit_reads`](FlashBackend::schedule_unit_reads) and friends),
 //! which the NDS system architectures use to charge channels and banks.
 
 use std::borrow::Cow;
-use std::collections::BTreeMap;
 
 use nds_core::{DeviceSpec, NvmBackend, UnitLocation};
 use nds_faults::FaultConfig;
@@ -43,24 +46,41 @@ const GC_THRESHOLD: f64 = 0.10;
 #[derive(Debug)]
 pub struct FlashBackend {
     device: FlashDevice,
-    /// Handle → current physical page.
-    forward: BTreeMap<UnitLocation, PageAddr>,
-    /// Physical page → handle (for GC relocation).
-    reverse: BTreeMap<PageAddr, UnitLocation>,
-    next_id: Vec<u64>,
+    /// Per handle lane, indexed by handle id: the dense index + 1 of the
+    /// handle's current page (0: unwritten or released). A lane's length is
+    /// its next handle id; ids are never reused.
+    forward: Vec<Vec<u32>>,
+    /// Per page lane, indexed by the page's offset within its lane: the
+    /// [`key`](Self::key_of) of the handle whose live copy the page holds
+    /// (0: none). Recovery may place a handle's page outside its own lane,
+    /// so entries name the full handle. Grows up to the highest offset used.
+    reverse: Vec<Vec<u32>>,
+    /// Scratch for the timing face: the pages behind one batch of units.
+    pages: Vec<PageAddr>,
     stats: Stats,
 }
 
 impl FlashBackend {
-    /// Creates a backend over a fresh flash device.
+    /// Creates a backend over a fresh flash device. The handle tables start
+    /// empty and grow with the handles and pages actually used.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the device has `u32::MAX` pages or more: the forward table
+    /// stores a page index + 1 in a `u32`.
     pub fn new(config: FlashConfig) -> Self {
         let device = FlashDevice::new(config);
+        let total = device.geometry().total_pages();
+        assert!(
+            u32::try_from(total).is_ok_and(|t| t < u32::MAX),
+            "{total} flash pages overflow the backend's u32 page table"
+        );
         let lanes = device.geometry().total_banks();
         FlashBackend {
             device,
-            forward: BTreeMap::new(),
-            reverse: BTreeMap::new(),
-            next_id: vec![0; lanes],
+            forward: vec![Vec::new(); lanes],
+            reverse: vec![Vec::new(); lanes],
+            pages: Vec::new(),
             stats: Stats::new(),
         }
     }
@@ -89,13 +109,116 @@ impl FlashBackend {
         self.device.install_faults(config);
     }
 
-    fn lane(&self, channel: u32, bank: u32) -> usize {
-        channel as usize * self.device.geometry().banks_per_channel + bank as usize
+    /// The lane index of `(channel, bank)`, if it names a lane.
+    fn lane_of(&self, channel: u32, bank: u32) -> Option<usize> {
+        let g = self.device.geometry();
+        let (channel, bank) = (channel as usize, bank as usize);
+        (channel < g.channels && bank < g.banks_per_channel)
+            .then_some(channel * g.banks_per_channel + bank)
     }
 
     /// The physical page currently backing `loc`, if any.
     pub fn physical_of(&self, loc: UnitLocation) -> Option<PageAddr> {
-        self.forward.get(&loc).copied()
+        let lane = self.lane_of(loc.channel, loc.bank)?;
+        let slot = *self
+            .forward
+            .get(lane)?
+            .get(usize::try_from(loc.unit).ok()?)?;
+        Some(
+            self.device
+                .geometry()
+                .page_at(slot.checked_sub(1)? as usize),
+        )
+    }
+
+    /// The reverse-table key of a handle `alloc_unit` returned:
+    /// `unit × lanes + lane + 1`. `None` for any other handle.
+    fn key_of(&self, loc: UnitLocation) -> Option<u32> {
+        let lane = self.lane_of(loc.channel, loc.bank)?;
+        if loc.unit >= self.forward.get(lane)?.len() as u64 {
+            return None;
+        }
+        Self::encode_key(self.forward.len(), lane, loc.unit)
+    }
+
+    fn encode_key(lanes: usize, lane: usize, unit: u64) -> Option<u32> {
+        let key = unit
+            .checked_mul(lanes as u64)?
+            .checked_add(lane as u64 + 1)?;
+        u32::try_from(key).ok()
+    }
+
+    /// The forward-table slot of the handle with reverse key `key`.
+    fn forward_slot(&mut self, key: u32) -> Option<&mut u32> {
+        let lanes = self.forward.len();
+        let rest = key.checked_sub(1)? as usize;
+        self.forward.get_mut(rest % lanes)?.get_mut(rest / lanes)
+    }
+
+    /// The reverse-table cell of `page`: its lane and its offset there.
+    fn reverse_cell(&self, page: PageAddr) -> (usize, usize) {
+        let g = self.device.geometry();
+        (
+            page.channel * g.banks_per_channel + page.bank,
+            page.block * g.pages_per_block + page.page,
+        )
+    }
+
+    /// The reverse-table slot of `page`, if the table has reached it.
+    fn reverse_slot(&mut self, page: PageAddr) -> Option<&mut u32> {
+        let (lane, offset) = self.reverse_cell(page);
+        self.reverse.get_mut(lane)?.get_mut(offset)
+    }
+
+    /// Maps the handle with key `key` to `page` in both tables.
+    fn bind(&mut self, key: u32, page: PageAddr) {
+        // `new` bounds every page index below `u32::MAX`.
+        let index = self.device.geometry().page_index(page) as u32 + 1;
+        if let Some(slot) = self.forward_slot(key) {
+            *slot = index;
+        }
+        let (lane, offset) = self.reverse_cell(page);
+        if let Some(table) = self.reverse.get_mut(lane) {
+            if table.len() <= offset {
+                table.resize(offset + 1, 0);
+            }
+        }
+        if let Some(slot) = self.reverse_slot(page) {
+            *slot = key;
+        }
+    }
+
+    /// Clears the mapping of the handle with key `key`, returning the page
+    /// that backed it.
+    fn unbind(&mut self, key: u32) -> Option<PageAddr> {
+        let index = std::mem::take(self.forward_slot(key)?).checked_sub(1)?;
+        let page = self.device.geometry().page_at(index as usize);
+        if let Some(slot) = self.reverse_slot(page) {
+            *slot = 0;
+        }
+        Some(page)
+    }
+
+    /// Removes and returns the key of the handle whose live copy is `page`.
+    fn take_owner(&mut self, page: PageAddr) -> Option<u32> {
+        self.reverse_slot(page)
+            .map(std::mem::take)
+            .filter(|&key| key != 0)
+    }
+
+    /// Resolves `units` to their backing pages (skipping unwritten ones) in
+    /// the reused scratch buffer and runs `f` on them.
+    fn with_pages<R>(
+        &mut self,
+        units: &[UnitLocation],
+        f: impl FnOnce(&mut Self, &[PageAddr]) -> R,
+    ) -> R {
+        let mut pages = std::mem::take(&mut self.pages);
+        pages.clear();
+        pages.extend(units.iter().filter_map(|&u| self.physical_of(u)));
+        let out = f(self, &pages);
+        self.pages = pages;
+        out
     }
 
     // ------------------------------------------------------------------
@@ -105,26 +228,12 @@ impl FlashBackend {
     /// Schedules reads of `units`, returning the batch completion time.
     /// Units without backing pages (never written) cost nothing.
     pub fn schedule_unit_reads(&mut self, units: &[UnitLocation], ready: SimTime) -> SimTime {
-        let pages: Vec<PageAddr> = units
-            .iter()
-            .filter_map(|u| self.forward.get(u).copied())
-            .collect();
-        if pages.is_empty() {
-            return ready;
-        }
-        self.device.schedule_reads(&pages, ready)
+        self.with_pages(units, |b, pages| b.device.schedule_reads(pages, ready))
     }
 
     /// Schedules programs of `units`, returning the batch completion time.
     pub fn schedule_unit_programs(&mut self, units: &[UnitLocation], ready: SimTime) -> SimTime {
-        let pages: Vec<PageAddr> = units
-            .iter()
-            .filter_map(|u| self.forward.get(u).copied())
-            .collect();
-        if pages.is_empty() {
-            return ready;
-        }
-        self.device.schedule_programs(&pages, ready)
+        self.with_pages(units, |b, pages| b.device.schedule_programs(pages, ready))
     }
 
     /// Fault-aware twin of [`schedule_unit_reads`](Self::schedule_unit_reads):
@@ -143,15 +252,13 @@ impl FlashBackend {
         units: &[UnitLocation],
         ready: SimTime,
     ) -> Result<SimTime, FlashError> {
-        let pages: Vec<PageAddr> = units
-            .iter()
-            .filter_map(|u| self.forward.get(u).copied())
-            .collect();
-        if pages.is_empty() {
-            return Ok(ready);
-        }
-        let done = self.device.fault_read_batch(&pages, ready)?;
-        self.service_disturbed(done)
+        self.with_pages(units, |b, pages| {
+            if pages.is_empty() {
+                return Ok(ready);
+            }
+            let done = b.device.fault_read_batch(pages, ready)?;
+            b.service_disturbed(done)
+        })
     }
 
     /// Fault-aware twin of
@@ -171,24 +278,22 @@ impl FlashBackend {
         units: &[UnitLocation],
         ready: SimTime,
     ) -> Result<SimTime, FlashError> {
-        let pages: Vec<PageAddr> = units
-            .iter()
-            .filter_map(|u| self.forward.get(u).copied())
-            .collect();
-        let mut done = ready;
-        for page in pages {
-            let mut end = self.device.schedule_programs(&[page], ready);
-            if self.device.next_program_fault(page) {
-                // The failed program already spent its bus + program time;
-                // recovery relocates the whole retired block, including the
-                // unit that was just written.
-                self.stats.add("retries.flash", 1);
-                end = self.relocate_block(page.block_addr(), end)?;
-                self.stats.add("faults.recovered", 1);
+        self.with_pages(units, |b, pages| {
+            let mut done = ready;
+            for &page in pages {
+                let mut end = b.device.schedule_programs(&[page], ready);
+                if b.device.next_program_fault(page) {
+                    // The failed program already spent its bus + program
+                    // time; recovery relocates the whole retired block,
+                    // including the unit that was just written.
+                    b.stats.add("retries.flash", 1);
+                    end = b.relocate_block(page.block_addr(), end)?;
+                    b.stats.add("faults.recovered", 1);
+                }
+                done = done.max(end);
             }
-            done = done.max(end);
-        }
-        Ok(done)
+            Ok(done)
+        })
     }
 
     /// Relocates and erases blocks past the read-disturb limit.
@@ -269,13 +374,11 @@ impl FlashBackend {
             };
             self.device.program(dest, data)?;
             now = self.device.schedule_programs(&[dest], now);
-            let handle = self
-                .reverse
-                .remove(&page)
+            let key = self
+                .take_owner(page)
                 .ok_or(FlashError::PageNotValid(page))?;
             self.device.invalidate(page)?;
-            self.forward.insert(handle, dest);
-            self.reverse.insert(dest, handle);
+            self.bind(key, dest);
             self.stats.add("faults.migrated", 1);
         }
         Ok(now)
@@ -347,18 +450,18 @@ impl FlashBackend {
                         .peek(page)
                         .ok_or(FlashError::PageNotValid(page))?
                         .to_vec();
-                    let handle = self
-                        .reverse
-                        .remove(&page)
-                        .ok_or(FlashError::PageNotValid(page))?;
-                    self.device.invalidate(page)?;
                     // Relocate within the same lane, avoiding the victim.
+                    // Copy-then-invalidate: a lane with no room left keeps
+                    // the old copy mapped and readable.
                     let dest = self
                         .find_free_page_avoiding(channel, bank, block)
                         .ok_or(FlashError::DeviceFull)?;
                     self.device.program(dest, data)?;
-                    self.forward.insert(handle, dest);
-                    self.reverse.insert(dest, handle);
+                    let key = self
+                        .take_owner(page)
+                        .ok_or(FlashError::PageNotValid(page))?;
+                    self.device.invalidate(page)?;
+                    self.bind(key, dest);
                     self.stats.add("backend.gc_relocated", 1);
                 }
             }
@@ -402,12 +505,17 @@ impl NvmBackend for FlashBackend {
         self.maybe_gc(channel, bank).ok()?;
         // A handle is just an id; the physical page is chosen at write time
         // (NAND programs are the real commitment).
-        let lane = self.lane(channel, bank);
+        let lane = self.lane_of(channel, bank)?;
         if self.device.free_pages_in(channel as usize, bank as usize) == 0 {
             return None;
         }
-        let unit = self.next_id[lane];
-        self.next_id[lane] += 1;
+        let lanes = self.forward.len();
+        let ids = self.forward.get_mut(lane)?;
+        let unit = ids.len() as u64;
+        // A handle whose key no longer fits the reverse table's u32 cannot
+        // be tracked: the lane is out of handles.
+        Self::encode_key(lanes, lane, unit)?;
+        ids.push(0);
         Some(UnitLocation {
             channel,
             bank,
@@ -416,8 +524,7 @@ impl NvmBackend for FlashBackend {
     }
 
     fn release_unit(&mut self, loc: UnitLocation) {
-        if let Some(page) = self.forward.remove(&loc) {
-            self.reverse.remove(&page);
+        if let Some(page) = self.key_of(loc).and_then(|key| self.unbind(key)) {
             let _ = self.device.invalidate(page);
         }
     }
@@ -427,17 +534,17 @@ impl NvmBackend for FlashBackend {
     }
 
     fn read_unit(&self, loc: UnitLocation) -> Option<Cow<'_, [u8]>> {
-        let page = self.forward.get(&loc)?;
-        self.device.peek(*page).map(Cow::Borrowed)
+        self.device.peek(self.physical_of(loc)?).map(Cow::Borrowed)
     }
 
-    // The Backend trait makes writes infallible; alloc_unit reserved lane
-    // space, so the free-page lookup and program cannot fail here.
+    // The Backend trait makes writes infallible and lets them panic on a
+    // handle alloc_unit never returned; alloc_unit reserved lane space, so
+    // the free-page lookup and program cannot fail here.
     #[allow(clippy::expect_used)]
     fn write_unit(&mut self, loc: UnitLocation, data: &[u8]) {
+        let key = self.key_of(loc).expect("unit handle was allocated");
         // Out-of-place: supersede any existing page for this handle.
-        if let Some(old) = self.forward.remove(&loc) {
-            self.reverse.remove(&old);
+        if let Some(old) = self.unbind(key) {
             self.device
                 .invalidate(old)
                 .expect("mapped page must be valid");
@@ -448,27 +555,8 @@ impl NvmBackend for FlashBackend {
             .device
             .find_free_page(loc.channel as usize, loc.bank as usize)
             .expect("alloc_unit guaranteed lane space");
-        self.device
-            .program(page, data.to_vec())
-            .expect("page is free");
-        self.forward.insert(loc, page);
-        self.reverse.insert(page, loc);
-    }
-
-    fn read_units(&self, locs: &[UnitLocation]) -> Vec<Option<Cow<'_, [u8]>>> {
-        // One pass: handle → page → borrowed page image, no per-unit copies.
-        locs.iter()
-            .map(|loc| {
-                let page = self.forward.get(loc)?;
-                self.device.peek(*page).map(Cow::Borrowed)
-            })
-            .collect()
-    }
-
-    fn write_units(&mut self, writes: &[(UnitLocation, &[u8])]) {
-        for &(loc, data) in writes {
-            self.write_unit(loc, data);
-        }
+        self.device.program(page, data).expect("page is free");
+        self.bind(key, page);
     }
 }
 

@@ -27,6 +27,12 @@ if [[ "${1:-}" != "--no-test" ]]; then
     echo "== cargo test --workspace"
     cargo test --workspace --quiet
 
+    # The wall-clock benchmark is a cargo workspace of its own, so the
+    # workspace run above never builds it: compile it against the current
+    # crates and run its self-tests (wrapper, determinism, metric names).
+    echo "== perfbench self-test (cargo test --release --manifest-path perfbench/Cargo.toml)"
+    cargo test --quiet --release --manifest-path perfbench/Cargo.toml
+
     # Overflow-checked CI profile (release codegen + `overflow-checks =
     # true`): the WFQ finish-tag arithmetic and the multi-tenant QoS /
     # property suites must be wrap-free, not just lint-clean (rule D5).
