@@ -1,18 +1,24 @@
 //! Criterion benches over the full simulated systems: the Fig. 9 fetch
-//! patterns (row / column / submatrix) on each architecture, plus the flash
-//! timing engine itself. Wall-clock here measures the *simulator's* cost,
-//! complementing the `fig9` harness which reports *simulated* bandwidths.
+//! patterns (row / column / submatrix) on each architecture, plus per-layer
+//! benches of the flash timing engine, the WFQ scheduler and the
+//! multi-tenant traffic engine. Wall-clock here measures the *simulator's*
+//! cost, complementing the `fig9` harness which reports *simulated*
+//! bandwidths.
 
 // Benches are operator tools, not simulation data path: panicking on a
 // malformed run is the right behavior.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 
 use nds_core::{ElementType, Shape};
 use nds_flash::{FlashConfig, FlashDevice, PageAddr};
+use nds_interconnect::WfqScheduler;
 use nds_sim::SimTime;
-use nds_system::{BaselineSystem, HardwareNds, SoftwareNds, StorageFrontEnd, SystemConfig};
+use nds_system::{
+    BaselineSystem, HardwareNds, SoftwareNds, StorageFrontEnd, SystemConfig, TrafficEngine,
+};
+use nds_workloads::tenants::mixed_open_closed;
 use nds_workloads::{Gemm, Workload, WorkloadParams};
 
 const N: u64 = 1024;
@@ -81,6 +87,49 @@ fn bench_flash_timing(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_wfq(c: &mut Criterion) {
+    // Steady state of the tenant engine's admission queue: 16 flows with 4
+    // operations each in the queue; every iteration serves the head and
+    // re-admits one operation for the same flow.
+    let mut group = c.benchmark_group("interconnect");
+    group.bench_function("wfq_enqueue_pop", |b| {
+        let mut wfq = WfqScheduler::new();
+        for flow in 0..16u32 {
+            wfq.register(flow, 1 + u64::from(flow % 3));
+            for k in 0..4u64 {
+                wfq.enqueue(flow, 1024 << (k % 2), k).expect("enqueue");
+            }
+        }
+        b.iter(|| {
+            let (flow, k) = wfq.pop().expect("non-empty");
+            wfq.enqueue(flow, 1024 << (k % 2), k + 1).expect("enqueue");
+        })
+    });
+    group.finish();
+}
+
+fn bench_tenant_engine(c: &mut Criterion) {
+    // One complete 16-tenant mixed open/closed run (128 ops per tenant) on
+    // a hardware-NDS device: WFQ admission, dispatch, pattern build and
+    // verify, and the device path. Construction (dataset creation and the
+    // populating writes) is outside the timed region.
+    let mut group = c.benchmark_group("tenants");
+    group.sample_size(10);
+    let set = mixed_open_closed(42, 16, 128);
+    let config = SystemConfig::small_test();
+    group.bench_function("engine_run_16x128", |b| {
+        b.iter_batched(
+            || TrafficEngine::new(HardwareNds::new(config.clone()), &set).expect("setup"),
+            |mut engine| {
+                engine.run().expect("run");
+                engine
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    group.finish();
+}
+
 fn bench_end_to_end(c: &mut Criterion) {
     // One complete (tiny) GEMM run per architecture: measures the whole
     // simulator stack — translation, assembly, timing, pipeline, kernel.
@@ -107,6 +156,8 @@ criterion_group!(
     benches,
     bench_fetch_patterns,
     bench_flash_timing,
+    bench_wfq,
+    bench_tenant_engine,
     bench_end_to_end
 );
 criterion_main!(benches);

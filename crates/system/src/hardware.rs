@@ -40,6 +40,8 @@ pub struct HardwareNds {
     stats: Stats,
     obs: Observability,
     tracer: Option<CommandTracer>,
+    /// The on-device data assembler; reset at the start of every read.
+    assembler: Resource,
 }
 
 /// Journal identity of the front-end's request-level span events.
@@ -76,6 +78,7 @@ impl HardwareNds {
             stats: Stats::new(),
             obs,
             tracer: config.obs.tracing.then(CommandTracer::new),
+            assembler: Resource::new("nds.assembler"),
         }
     }
 
@@ -243,11 +246,10 @@ impl StorageFrontEnd for HardwareNds {
             sub_dims: sub_dims.to_vec(),
         };
         cmd.validate()?;
-        let decoded = self.submit_command(cmd)?;
-        let (coord, sub_dims) = match &decoded {
+        let (coord, sub_dims) = match self.submit_command(cmd)? {
             NvmeCommand::NdsWrite {
                 coord, sub_dims, ..
-            } => (coord.clone(), sub_dims.clone()),
+            } => (coord, sub_dims),
             _ => return Err(SystemError::Protocol("decoded write changed command kind")),
         };
         let report = self.stl.write(space, view, &coord, &sub_dims, data)?;
@@ -339,11 +341,10 @@ impl StorageFrontEnd for HardwareNds {
             sub_dims: sub_dims.to_vec(),
         };
         cmd.validate()?;
-        let decoded = self.submit_command(cmd)?;
-        let (coord, sub_dims) = match &decoded {
+        let (coord, sub_dims) = match self.submit_command(cmd)? {
             NvmeCommand::NdsRead {
                 coord, sub_dims, ..
-            } => (coord.clone(), sub_dims.clone()),
+            } => (coord, sub_dims),
             _ => return Err(SystemError::Protocol("decoded read changed command kind")),
         };
         let report = self.stl.read_into(space, view, &coord, &sub_dims, buf)?;
@@ -351,13 +352,16 @@ impl StorageFrontEnd for HardwareNds {
         self.link.reset_timing();
 
         // Device: all covered blocks stream concurrently at internal
-        // bandwidth; the assembler and the link pipeline behind them.
-        let mut assembler = Resource::new("nds.assembler");
+        // bandwidth; the assembler and the link pipeline behind them. The
+        // assembler is reset here rather than after the read, so an error
+        // part-way through leaves no state behind for the next one.
+        self.assembler.reset();
         let mut first_block = SimDuration::ZERO;
         let mut dev_end = SimTime::ZERO;
         let blocks = report.blocks.len().max(1) as u64;
         let seg_per_block = report.segments.div_ceil(blocks);
         let bytes_per_block = report.bytes.div_ceil(blocks);
+        let asm_per_block = self.assemble_time(seg_per_block, bytes_per_block);
         let mut asm_end = SimTime::ZERO;
         for (i, block) in report.blocks.iter().enumerate() {
             if block.units.is_empty() {
@@ -369,8 +373,7 @@ impl StorageFrontEnd for HardwareNds {
                 first_block = end.saturating_since(SimTime::ZERO);
             }
             dev_end = dev_end.max(end);
-            asm_end = asm_end
-                .max(assembler.acquire(end, self.assemble_time(seg_per_block, bytes_per_block)));
+            asm_end = asm_end.max(self.assembler.acquire(end, asm_per_block));
         }
         let link = self.chunked_link_time(report.bytes)?;
         let submit = self.cpu.submit_time(1);
@@ -385,7 +388,7 @@ impl StorageFrontEnd for HardwareNds {
             .backend()
             .device()
             .throughput_occupancy()
-            .max(assembler.busy_time())
+            .max(self.assembler.busy_time())
             .max(self.link.busy_time());
 
         self.stats.add("system.read_commands", 1);

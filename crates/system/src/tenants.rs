@@ -182,20 +182,81 @@ fn mix(mut z: u64) -> u64 {
 }
 
 /// The byte of tenant `tenant`'s pattern at linear byte `offset` of its
-/// dataset `dataset` — the public handle on the engine's positional data
-/// pattern, so isolation tests can verify final dataset contents
-/// byte-exactly from outside the engine.
+/// dataset `dataset` — positional, so reads verify without tracking
+/// history and cross-tenant writes are detectable byte-exactly. This is
+/// the per-byte reference: isolation tests use it to verify final dataset
+/// contents from outside the engine, and the engine's word-wise fill and
+/// verify must agree with it byte for byte.
 pub fn tenant_pattern_byte(seed: u64, tenant: u32, dataset: usize, offset: u64) -> u8 {
-    pattern_byte(seed, tenant, dataset, offset)
+    let shift = (offset & 7) * 8;
+    (mix(pattern_key(seed, tenant, dataset) ^ (offset >> 3)) >> shift) as u8
 }
 
-/// The byte of tenant `tenant`'s pattern at linear byte `offset` of its
-/// dataset `dataset` — positional, so reads verify without tracking
-/// history and cross-tenant writes are detectable byte-exactly.
-fn pattern_byte(seed: u64, tenant: u32, dataset: usize, offset: u64) -> u8 {
-    let lane = seed ^ (u64::from(tenant) << 40) ^ ((dataset as u64) << 32) ^ (offset >> 3);
-    let shift = (offset & 7) * 8;
-    (mix(lane) >> shift) as u8
+/// The pattern key of one tenant dataset: the little-endian bytes of
+/// `mix(key ^ w)` are the pattern's 8-byte word `w` (bytes `8w..8w + 8`).
+fn pattern_key(seed: u64, tenant: u32, dataset: usize) -> u64 {
+    seed ^ (u64::from(tenant) << 40) ^ ((dataset as u64) << 32)
+}
+
+/// Pattern word `lane` (bytes `8 × lane ..`) of the dataset keyed `key`.
+fn pattern_word(key: u64, lane: u64) -> [u8; 8] {
+    mix(key ^ lane).to_le_bytes()
+}
+
+/// Bytes from dataset-linear offset `base` up to the next word edge,
+/// capped at `len`: the unaligned head of a run.
+fn head_len(base: u64, len: usize) -> usize {
+    ((8 - (base & 7) as usize) & 7).min(len)
+}
+
+/// Fills `out` with the pattern starting at dataset-linear byte `base`,
+/// one `mix` per 8-byte word: a partial head word, whole words, then a
+/// partial tail word.
+fn fill_pattern(key: u64, base: u64, out: &mut [u8]) {
+    let Some((head, body)) = out.split_at_mut_checked(head_len(base, out.len())) else {
+        return;
+    };
+    let first = pattern_word(key, base >> 3);
+    for (d, s) in head.iter_mut().zip(first.iter().skip((base & 7) as usize)) {
+        *d = *s;
+    }
+    let mut lane = (base + head.len() as u64) >> 3;
+    let mut words = body.chunks_exact_mut(8);
+    for word in &mut words {
+        word.copy_from_slice(&pattern_word(key, lane));
+        lane += 1;
+    }
+    for (d, s) in words
+        .into_remainder()
+        .iter_mut()
+        .zip(pattern_word(key, lane))
+    {
+        *d = s;
+    }
+}
+
+/// Whether every byte of `got` is the pattern starting at dataset-linear
+/// byte `base` — the same head/words/tail walk as [`fill_pattern`].
+fn pattern_matches(key: u64, base: u64, got: &[u8]) -> bool {
+    let Some((head, body)) = got.split_at_checked(head_len(base, got.len())) else {
+        return false;
+    };
+    let first = pattern_word(key, base >> 3);
+    let mut ok = head
+        .iter()
+        .zip(first.iter().skip((base & 7) as usize))
+        .all(|(g, s)| g == s);
+    let mut lane = (base + head.len() as u64) >> 3;
+    let mut words = body.chunks_exact(8);
+    for word in &mut words {
+        ok &= *word == pattern_word(key, lane);
+        lane += 1;
+    }
+    let tail = words.remainder();
+    ok & tail
+        .iter()
+        .zip(pattern_word(key, lane))
+        .all(|(g, s)| *g == s)
 }
 
 /// Seeded inter-arrival gap `index` for an open tenant: uniform in
@@ -214,8 +275,6 @@ struct TenantRuntime {
     /// `(id, shape, element)` of the tenant's dataspaces, in creation
     /// order (the namespace).
     datasets: Vec<(DatasetId, Shape, ElementType)>,
-    /// The mix cycled out to `total_ops` concrete operations.
-    resolved: Vec<TenantOp>,
     /// Arrived-but-not-admitted operations: `(op index, arrival)`.
     pending: VecDeque<(u64, SimTime)>,
     /// Operations released into `pending` so far.
@@ -229,6 +288,23 @@ struct TenantRuntime {
     /// Response time (finish − arrival) histogram, engine-owned and
     /// always on — independent of the front-end's observability config.
     response: LatencyHistogram,
+}
+
+impl TenantRuntime {
+    /// Operations the tenant runs: `total_ops`, or none for an empty mix.
+    fn total(&self) -> u64 {
+        if self.spec.ops.is_empty() {
+            0
+        } else {
+            self.spec.total_ops
+        }
+    }
+
+    /// Operation `index` of the tenant's run: the command mix, cycled.
+    fn op(&self, index: u64) -> Option<&TenantOp> {
+        let len = self.spec.ops.len() as u64;
+        self.spec.ops.get(index.checked_rem(len)? as usize)
+    }
 }
 
 /// The traffic engine: drives a [`TenantSet`] through any front-end.
@@ -271,12 +347,15 @@ pub struct TrafficEngine<S> {
     sys: S,
     seed: u64,
     tenants: Vec<TenantRuntime>,
-    owners: BTreeMap<DatasetId, u32>,
+    /// Owner of every dataspace the engine created: `(tenant, index into
+    /// that tenant's namespace)`.
+    owners: BTreeMap<DatasetId, (u32, usize)>,
     wfq: WfqScheduler<OpRef>,
     now: SimTime,
     completions: Vec<Completion>,
     /// Trace-cursor ranges of the setup writes, per tenant.
     setup_traces: Vec<(u64, u64, u32)>,
+    /// Reused per-op buffer: read destination or write payload.
     scratch: Vec<u8>,
     /// Engine-owned windowed telemetry on the engine's absolute clock
     /// (per-tenant achieved bytes and backlog). Disabled by default;
@@ -306,11 +385,10 @@ impl<S: StorageFrontEnd> TrafficEngine<S> {
             let mut datasets = Vec::with_capacity(spec.datasets.len());
             for (d, (shape, element)) in spec.datasets.iter().enumerate() {
                 let id = sys.create_dataset(shape.clone(), *element)?;
-                owners.insert(id, tenant);
+                owners.insert(id, (tenant, d));
                 let bytes = shape.volume() * element.size() as u64;
-                let payload: Vec<u8> = (0..bytes)
-                    .map(|off| pattern_byte(set.seed, tenant, d, off))
-                    .collect();
+                let mut payload = vec![0u8; bytes as usize];
+                fill_pattern(pattern_key(set.seed, tenant, d), 0, &mut payload);
                 let coord = vec![0u64; shape.ndims()];
                 // nds-lint: allow(D6, setup writes seed freshly created datasets before ownership is registered with a guard)
                 sys.write(id, shape, &coord, shape.dims(), &payload)?;
@@ -320,41 +398,11 @@ impl<S: StorageFrontEnd> TrafficEngine<S> {
             if after > before {
                 setup_traces.push((before, after, tenant));
             }
-            let resolved: Vec<TenantOp> = if spec.ops.is_empty() {
-                Vec::new()
-            } else {
-                spec.ops
-                    .iter()
-                    .cycle()
-                    .take(spec.total_ops as usize)
-                    .cloned()
-                    .collect()
-            };
-            let total = resolved.len() as u64;
-            let mut pending = VecDeque::new();
-            let released = match spec.arrival {
-                Arrival::Open { mean_gap } => {
-                    let mut at = SimTime::ZERO;
-                    for i in 0..total {
-                        at += arrival_gap(set.seed, tenant, i, mean_gap);
-                        pending.push_back((i, at));
-                    }
-                    total
-                }
-                Arrival::Closed { outstanding } => {
-                    let initial = u64::from(outstanding.max(1)).min(total);
-                    for i in 0..initial {
-                        pending.push_back((i, SimTime::ZERO));
-                    }
-                    initial
-                }
-            };
-            tenants.push(TenantRuntime {
+            let mut rt = TenantRuntime {
                 spec: spec.clone(),
                 datasets,
-                resolved,
-                pending,
-                released,
+                pending: VecDeque::new(),
+                released: 0,
                 outstanding: 0,
                 max_outstanding: 0,
                 completed: 0,
@@ -362,7 +410,26 @@ impl<S: StorageFrontEnd> TrafficEngine<S> {
                 commands: 0,
                 busy: SimDuration::ZERO,
                 response: LatencyHistogram::default(),
-            });
+            };
+            let total = rt.total();
+            rt.released = match spec.arrival {
+                Arrival::Open { mean_gap } => {
+                    let mut at = SimTime::ZERO;
+                    for i in 0..total {
+                        at += arrival_gap(set.seed, tenant, i, mean_gap);
+                        rt.pending.push_back((i, at));
+                    }
+                    total
+                }
+                Arrival::Closed { outstanding } => {
+                    let initial = u64::from(outstanding.max(1)).min(total);
+                    for i in 0..initial {
+                        rt.pending.push_back((i, SimTime::ZERO));
+                    }
+                    initial
+                }
+            };
+            tenants.push(rt);
         }
         Ok(TrafficEngine {
             sys,
@@ -392,7 +459,7 @@ impl<S: StorageFrontEnd> TrafficEngine<S> {
 
     /// The owning tenant of a dataspace, if the engine created it.
     pub fn owner_of(&self, id: DatasetId) -> Option<u32> {
-        self.owners.get(&id).copied()
+        self.owners.get(&id).map(|&(tenant, _)| tenant)
     }
 
     /// The `index`-th dataspace id of `tenant`'s namespace.
@@ -436,8 +503,8 @@ impl<S: StorageFrontEnd> TrafficEngine<S> {
         buf: &mut Vec<u8>,
     ) -> Result<ReadMetrics, SystemError> {
         self.guard(tenant, id)?;
-        let shape = self.shape_of(id)?;
-        self.sys.read_into(id, &shape, coord, sub_dims, buf)
+        let shape = shape_of(&self.tenants, &self.owners, id)?;
+        self.sys.read_into(id, shape, coord, sub_dims, buf)
     }
 
     /// Writes `data` into a region of `id` in its canonical view on
@@ -456,17 +523,8 @@ impl<S: StorageFrontEnd> TrafficEngine<S> {
         data: &[u8],
     ) -> Result<WriteOutcome, SystemError> {
         self.guard(tenant, id)?;
-        let shape = self.shape_of(id)?;
-        self.sys.write(id, &shape, coord, sub_dims, data)
-    }
-
-    fn shape_of(&self, id: DatasetId) -> Result<Shape, SystemError> {
-        self.tenants
-            .iter()
-            .flat_map(|rt| rt.datasets.iter())
-            .find(|(d, _, _)| *d == id)
-            .map(|(_, shape, _)| shape.clone())
-            .ok_or(SystemError::UnknownDataset(id))
+        let shape = shape_of(&self.tenants, &self.owners, id)?;
+        self.sys.write(id, shape, coord, sub_dims, data)
     }
 
     /// Runs the whole tenant set to completion.
@@ -510,8 +568,7 @@ impl<S: StorageFrontEnd> TrafficEngine<S> {
                 rt.outstanding += 1;
                 rt.max_outstanding = rt.max_outstanding.max(rt.outstanding);
                 let cost = rt
-                    .resolved
-                    .get(index as usize)
+                    .op(index)
                     .map_or(1, |op| op_volume(op) * element_bytes(rt, op));
                 self.wfq.enqueue(t as u32, cost, (index, arrival, now))?;
             }
@@ -530,61 +587,40 @@ impl<S: StorageFrontEnd> TrafficEngine<S> {
     /// Serves one admitted operation on the device and records its
     /// completion.
     fn serve(&mut self, tenant: u32, (index, arrived, admitted): OpRef) -> Result<(), SystemError> {
-        let Some(op) = self
-            .tenants
-            .get(tenant as usize)
-            .and_then(|rt| rt.resolved.get(index as usize))
-            .cloned()
-        else {
+        // Everything the op needs is borrowed from the tenant's runtime;
+        // the per-op buffer is the engine's reused scratch.
+        let Some(rt) = self.tenants.get(tenant as usize) else {
             return Ok(());
         };
-        let Some((id, shape, element)) = self
-            .tenants
-            .get(tenant as usize)
-            .and_then(|rt| rt.datasets.get(op.dataset))
-            .cloned()
-        else {
+        let Some(op) = rt.op(index) else {
+            return Ok(());
+        };
+        let Some((id, shape, element)) = rt.datasets.get(op.dataset) else {
             return Err(SystemError::TenantIsolation {
                 tenant,
                 dataset: DatasetId(0),
             });
         };
+        let id = *id;
         self.guard(tenant, id)?;
         let started = self.now;
         let before = self.sys.trace_cursor();
+        let key = pattern_key(self.seed, tenant, op.dataset);
         let elem = element.size() as u64;
-        let (latency, commands, bytes, data_ok) = match op.kind {
+        let kind = op.kind;
+        let (latency, commands, bytes, data_ok) = match kind {
             OpKind::Read => {
-                let mut buf = std::mem::take(&mut self.scratch);
-                let metrics = self
-                    .sys
-                    .read_into(id, &shape, &op.coord, &op.sub_dims, &mut buf)?;
-                let ok = verify_pattern(
-                    self.seed,
-                    tenant,
-                    op.dataset,
-                    &shape,
-                    &op.coord,
-                    &op.sub_dims,
-                    elem,
-                    &buf,
-                )?;
-                self.scratch = buf;
+                let metrics =
+                    self.sys
+                        .read_into(id, shape, &op.coord, &op.sub_dims, &mut self.scratch)?;
+                let ok = verify_pattern(key, shape, &op.coord, &op.sub_dims, elem, &self.scratch)?;
                 (metrics.latency(), metrics.commands, metrics.bytes, ok)
             }
             OpKind::Write => {
-                let payload = build_pattern(
-                    self.seed,
-                    tenant,
-                    op.dataset,
-                    &shape,
-                    &op.coord,
-                    &op.sub_dims,
-                    elem,
-                )?;
+                build_pattern(key, shape, &op.coord, &op.sub_dims, elem, &mut self.scratch)?;
                 let outcome = self
                     .sys
-                    .write(id, &shape, &op.coord, &op.sub_dims, &payload)?;
+                    .write(id, shape, &op.coord, &op.sub_dims, &self.scratch)?;
                 (outcome.latency, outcome.commands, outcome.bytes, true)
             }
         };
@@ -600,9 +636,7 @@ impl<S: StorageFrontEnd> TrafficEngine<S> {
             rt.response.record(finished.saturating_since(arrived));
             // Closed arrival: the completion releases the tenant's next
             // operation at this instant.
-            if matches!(rt.spec.arrival, Arrival::Closed { .. })
-                && rt.released < rt.resolved.len() as u64
-            {
+            if matches!(rt.spec.arrival, Arrival::Closed { .. }) && rt.released < rt.total() {
                 rt.pending.push_back((rt.released, finished));
                 rt.released += 1;
             }
@@ -624,7 +658,7 @@ impl<S: StorageFrontEnd> TrafficEngine<S> {
         self.completions.push(Completion {
             tenant,
             op_index: index,
-            kind: op.kind,
+            kind,
             arrived,
             admitted,
             started,
@@ -701,6 +735,7 @@ impl<S: StorageFrontEnd> TrafficEngine<S> {
         let makespan = self.makespan();
         report.add_duration("engine.makespan", makespan);
         let total_bytes: u64 = self.tenants.iter().map(|rt| rt.bytes).sum();
+        let weight_total: u64 = self.tenants.iter().map(|rt| rt.spec.weight.max(1)).sum();
         report
             .counters
             .insert("engine.bytes".to_owned(), total_bytes);
@@ -732,7 +767,6 @@ impl<S: StorageFrontEnd> TrafficEngine<S> {
             report
                 .counters
                 .insert(format!("{scope}.share_milli"), achieved);
-            let weight_total: u64 = self.tenants.iter().map(|x| x.spec.weight.max(1)).sum();
             let configured = rt.spec.weight.max(1).saturating_mul(1000) / weight_total.max(1);
             report
                 .counters
@@ -792,38 +826,49 @@ fn element_bytes(rt: &TenantRuntime, op: &TenantOp) -> u64 {
         .map_or(1, |(_, _, e)| e.size() as u64)
 }
 
-/// Builds the pattern payload for a region write: byte `k` of the
-/// payload is the tenant's pattern byte at the region's dataset-linear
+/// The shape of dataspace `id`, resolved through its owner entry (owner
+/// → tenant → namespace index) rather than a scan of every namespace.
+/// Callers pass the isolation guard first.
+fn shape_of<'a>(
+    tenants: &'a [TenantRuntime],
+    owners: &BTreeMap<DatasetId, (u32, usize)>,
+    id: DatasetId,
+) -> Result<&'a Shape, SystemError> {
+    owners
+        .get(&id)
+        .and_then(|&(tenant, index)| tenants.get(tenant as usize)?.datasets.get(index))
+        .map(|(_, shape, _)| shape)
+        .ok_or(SystemError::UnknownDataset(id))
+}
+
+/// Builds the pattern payload for a region write into `payload`: byte `k`
+/// is the pattern byte (dataset key `key`) at the region's dataset-linear
 /// offset for `k`.
-#[allow(clippy::too_many_arguments)]
 fn build_pattern(
-    seed: u64,
-    tenant: u32,
-    dataset: usize,
+    key: u64,
     shape: &Shape,
     coord: &[u64],
     sub_dims: &[u64],
     elem: u64,
-) -> Result<Vec<u8>, SystemError> {
+    payload: &mut Vec<u8>,
+) -> Result<(), SystemError> {
     let region = Region::from_request(shape, coord, sub_dims).map_err(SystemError::from)?;
-    let mut payload = vec![0u8; (region.volume() * elem) as usize];
+    payload.clear();
+    payload.resize((region.volume() * elem) as usize, 0);
     region.for_each_run(shape, |buf_off, linear, len| {
         let start = (buf_off * elem) as usize;
-        let nbytes = (len * elem) as usize;
-        let base = linear * elem;
-        for (k, slot) in payload.iter_mut().skip(start).take(nbytes).enumerate() {
-            *slot = pattern_byte(seed, tenant, dataset, base + k as u64);
+        let end = payload.len().min(start + (len * elem) as usize);
+        if let Some(run) = payload.get_mut(start..end) {
+            fill_pattern(key, linear * elem, run);
         }
     });
-    Ok(payload)
+    Ok(())
 }
 
-/// Verifies a read buffer against the tenant's pattern, byte-exactly.
-#[allow(clippy::too_many_arguments)]
+/// Verifies a read buffer against the pattern (dataset key `key`),
+/// byte-exactly: a buffer of the wrong length never verifies.
 fn verify_pattern(
-    seed: u64,
-    tenant: u32,
-    dataset: usize,
+    key: u64,
     shape: &Shape,
     coord: &[u64],
     sub_dims: &[u64],
@@ -834,12 +879,9 @@ fn verify_pattern(
     let mut ok = buf.len() as u64 == region.volume() * elem;
     region.for_each_run(shape, |buf_off, linear, len| {
         let start = (buf_off * elem) as usize;
-        let nbytes = (len * elem) as usize;
-        let base = linear * elem;
-        for (k, got) in buf.iter().skip(start).take(nbytes).enumerate() {
-            if *got != pattern_byte(seed, tenant, dataset, base + k as u64) {
-                ok = false;
-            }
+        let end = buf.len().min(start + (len * elem) as usize);
+        if let Some(run) = buf.get(start..end) {
+            ok &= pattern_matches(key, linear * elem, run);
         }
     });
     Ok(ok)
@@ -965,13 +1007,101 @@ mod tests {
         assert!(e.max_outstanding(0) <= 2);
     }
 
+    /// The per-byte reference for dataset-linear bytes `[base, base + len)`.
+    fn reference(key_args: (u64, u32, usize), base: u64, len: usize) -> Vec<u8> {
+        let (seed, tenant, dataset) = key_args;
+        (base..base + len as u64)
+            .map(|off| tenant_pattern_byte(seed, tenant, dataset, off))
+            .collect()
+    }
+
+    #[test]
+    fn word_wise_pattern_matches_the_per_byte_reference() {
+        let args = (0x5eed, 3, 1);
+        let key = pattern_key(args.0, args.1, args.2);
+        // Every start alignment, on the first word and further in, and
+        // lengths that end inside, on, and past word edges.
+        for base in (0..8).chain(8 * 37..8 * 37 + 8) {
+            for len in 0..=70 {
+                let want = reference(args, base, len);
+                let mut got = vec![0xa5; len];
+                fill_pattern(key, base, &mut got);
+                assert_eq!(got, want, "fill base={base} len={len}");
+                assert!(
+                    pattern_matches(key, base, &want),
+                    "verify base={base} len={len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn word_wise_verify_rejects_any_single_flipped_byte() {
+        let args = (11, 0, 0);
+        let key = pattern_key(args.0, args.1, args.2);
+        for base in 0..8 {
+            let good = reference(args, base, 40);
+            for k in 0..good.len() {
+                let mut bad = good.clone();
+                bad[k] ^= 1;
+                assert!(
+                    !pattern_matches(key, base, &bad),
+                    "flip at {k}, base {base}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn region_pattern_round_trips_and_rejects_wrong_buffers() {
+        let (seed, tenant, dataset) = (9, 2, 0);
+        let key = pattern_key(seed, tenant, dataset);
+        let shape = Shape::new([16, 16]);
+        let (coord, sub_dims, elem) = ([1u64, 2], [4u64, 4], 4u64);
+        let mut payload = Vec::new();
+        build_pattern(key, &shape, &coord, &sub_dims, elem, &mut payload).unwrap();
+        // Byte k of the payload is the reference byte at the region's
+        // dataset-linear offset for k (runs along dimension 0).
+        let want: Vec<u8> = (0..payload.len() as u64)
+            .map(|k| {
+                let (e, b) = (k / elem, k % elem);
+                let linear = (coord[0] * 4 + e % 4) + 16 * (coord[1] * 4 + e / 4);
+                tenant_pattern_byte(seed, tenant, dataset, linear * elem + b)
+            })
+            .collect();
+        assert_eq!(payload, want);
+        let verify =
+            |buf: &[u8]| verify_pattern(key, &shape, &coord, &sub_dims, elem, buf).unwrap();
+        assert!(verify(&payload));
+        for k in 0..payload.len() {
+            let mut bad = payload.clone();
+            bad[k] ^= 0x80;
+            assert!(!verify(&bad), "flipped byte {k} verified");
+        }
+        assert!(
+            !verify(&payload[..payload.len() - 1]),
+            "short buffer verified"
+        );
+        let mut long = payload.clone();
+        long.push(0);
+        assert!(!verify(&long), "long buffer verified");
+        // Another tenant's bytes for the same region never verify.
+        let mut foreign = Vec::new();
+        let other = pattern_key(seed, tenant + 1, dataset);
+        build_pattern(other, &shape, &coord, &sub_dims, elem, &mut foreign).unwrap();
+        assert!(!verify(&foreign));
+    }
+
     #[test]
     fn pattern_is_per_tenant_and_positional() {
         assert_ne!(
-            pattern_byte(1, 0, 0, 0),
-            pattern_byte(1, 1, 0, 0),
+            tenant_pattern_byte(1, 0, 0, 0),
+            tenant_pattern_byte(1, 1, 0, 0),
             "tenants have distinct patterns"
         );
-        assert_eq!(pattern_byte(5, 3, 2, 77), pattern_byte(5, 3, 2, 77));
+        assert_eq!(
+            tenant_pattern_byte(5, 3, 2, 77),
+            tenant_pattern_byte(5, 3, 2, 77)
+        );
     }
 }

@@ -19,6 +19,7 @@ use nds_system::{
     tenant_pattern_byte, Arrival, HardwareNds, OpKind, SoftwareNds, StorageFrontEnd, SystemConfig,
     TenantOp, TenantSet, TenantSpec, TrafficEngine,
 };
+use nds_workloads::tenants::mixed_open_closed;
 
 const SEED: u64 = 2026;
 
@@ -218,5 +219,45 @@ fn single_tenant_engine_matches_direct_replay() {
     assert_eq!(
         engine_latencies, direct_latencies,
         "single tenant through the engine is not schedule-identical to a direct run"
+    );
+}
+
+#[test]
+fn sixteen_tenant_run_matches_pinned_golden() {
+    // Every other check here compares two runs of the same build, which
+    // cannot catch a drift between commits. This one pins the 16-tenant
+    // acceptance run (journal + engine report) to a checked-in artifact.
+    let golden_path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/tenant_mixed_16x256_hardware_nds.txt"
+    );
+    let set = mixed_open_closed(42, 16, 256);
+    let (journal, report, _) = run_artifacts(&SystemConfig::small_test(), &set);
+    let actual = format!("{journal}{report}\n");
+    if std::env::var_os("NDS_BLESS_GOLDEN").is_some() {
+        std::fs::write(golden_path, &actual).expect("bless golden");
+        return;
+    }
+    let golden = std::fs::read_to_string(golden_path)
+        .expect("golden file missing — run with NDS_BLESS_GOLDEN=1 to create it");
+    // Report the first differing line, not a diff of the whole artifact.
+    if let Some((line, (got, want))) = actual
+        .lines()
+        .zip(golden.lines())
+        .enumerate()
+        .find(|(_, (got, want))| got != want)
+    {
+        panic!(
+            "16-tenant journal/report drifted from \
+             tests/golden/tenant_mixed_16x256_hardware_nds.txt at line {}:\n  \
+             got:  {got}\n  want: {want}\nif the change is intentional, \
+             regenerate with NDS_BLESS_GOLDEN=1",
+            line + 1
+        );
+    }
+    assert!(
+        actual == golden,
+        "16-tenant journal/report drifted from the golden in its line count \
+         or line endings"
     );
 }

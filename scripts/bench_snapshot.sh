@@ -62,6 +62,11 @@ if not records:
     fail("criterion benches emitted no 'bench:' records — harness broken?")
 
 by_name = {r["name"]: r["value"] for r in records}
+# Per-layer benches the trajectory must keep recording.
+for required in ("flash_timing/schedule_1024_striped_reads",
+                 "interconnect/wfq_enqueue_pop", "tenants/engine_run_16x128"):
+    if required not in by_name:
+        fail(f"criterion benches lost the {required} record")
 speedup = {}
 for cached, uncached in [("stl/read_tile_256", "stl/read_tile_256_uncached"),
                          ("stl/read_column_64", "stl/read_column_64_uncached")]:
