@@ -10,8 +10,9 @@
 //!
 //! They also pin down report determinism: two identical instrumented runs
 //! must serialize to byte-identical [`RunReport`] JSON, and that JSON must
-//! match the golden file in `tests/golden/` (regenerate with
-//! `NDS_BLESS_GOLDEN=1 cargo test -p nds-system --test obs_invariance`).
+//! match the golden file in `tests/golden/`; the traced report, metrics
+//! and trace export of every architecture are pinned there too (regenerate
+//! with `NDS_BLESS_GOLDEN=1 cargo test -p nds-system --test obs_invariance`).
 
 // Test helpers outside #[test] fns aren't covered by allow-unwrap-in-tests.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -228,24 +229,84 @@ fn run_report_json_is_byte_identical_across_runs() {
     assert_eq!(hw_first, hw_second);
 }
 
-#[test]
-fn run_report_matches_golden() {
-    let golden_path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/obs_report_software_nds.json"
-    );
-    let mut actual = instrumented_report(SoftwareNds::new);
-    actual.push('\n');
+/// Compares `actual` with the golden file `tests/golden/<name>`, or
+/// rewrites the file when `NDS_BLESS_GOLDEN` is set.
+fn check_golden(name: &str, actual: &str) {
+    let golden_path = format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
     if std::env::var_os("NDS_BLESS_GOLDEN").is_some() {
-        std::fs::write(golden_path, &actual).expect("bless golden");
+        std::fs::write(&golden_path, actual).expect("bless golden");
         return;
     }
-    let golden = std::fs::read_to_string(golden_path)
+    let golden = std::fs::read_to_string(&golden_path)
         .expect("golden file missing — run with NDS_BLESS_GOLDEN=1 to create it");
-    assert_eq!(
-        actual, golden,
-        "RunReport JSON drifted from tests/golden/obs_report_software_nds.json; \
+    assert!(
+        actual == golden,
+        "{name} drifted from tests/golden/{name}; \
          if the change is intentional, regenerate with NDS_BLESS_GOLDEN=1"
+    );
+}
+
+/// A short traced op sequence — full write, row and column panels, a tile,
+/// a tile overwrite, the whole matrix, then delete — under
+/// `ObsConfig::traced().with_metrics()`. Returns the run report JSON, the
+/// metrics JSON and the trace export (makespan, lane totals, then one
+/// `{:?}` line per event).
+fn traced_artifacts<S: StorageFrontEnd>(make: impl FnOnce(SystemConfig) -> S) -> String {
+    const M: u64 = 128;
+    let mut sys = make(config(ObsConfig::traced().with_metrics()));
+    let shape = Shape::new([M, M]);
+    let id = sys
+        .create_dataset(shape.clone(), ElementType::F32)
+        .expect("create");
+    let bytes: Vec<u8> = (0..M * M * 4).map(|i| (i % 251) as u8).collect();
+    sys.write(id, &shape, &[0, 0], &[M, M], &bytes)
+        .expect("write");
+    sys.read(id, &shape, &[0, 1], &[M, 32]).expect("row panel");
+    sys.read(id, &shape, &[1, 0], &[32, M])
+        .expect("column panel");
+    sys.read(id, &shape, &[1, 1], &[32, 32]).expect("tile");
+    let patch = vec![7u8; 32 * 32 * 4];
+    sys.write(id, &shape, &[2, 1], &[32, 32], &patch)
+        .expect("tile write");
+    sys.read(id, &shape, &[0, 0], &[M, M]).expect("whole");
+    sys.delete_dataset(id).expect("delete");
+
+    let report = sys.run_report();
+    let mut out = report.to_json();
+    out.push('\n');
+    out.push_str(&report.metrics_json());
+    out.push('\n');
+    let export = sys.trace_export().expect("traced run must export Some");
+    out.push_str(&format!("makespan {:?}\n", export.makespan));
+    out.push_str(&format!("channels {:?}\n", export.channels));
+    out.push_str(&format!("banks {:?}\n", export.banks));
+    for event in &export.events {
+        out.push_str(&format!("{event:?}\n"));
+    }
+    out
+}
+
+#[test]
+fn run_report_matches_golden() {
+    let mut actual = instrumented_report(SoftwareNds::new);
+    actual.push('\n');
+    check_golden("obs_report_software_nds.json", &actual);
+    // Every architecture's traced artifacts, pinned across commits.
+    check_golden(
+        "obs_traced_baseline.txt",
+        &traced_artifacts(BaselineSystem::new),
+    );
+    check_golden(
+        "obs_traced_oracle.txt",
+        &traced_artifacts(|c| OracleSystem::with_tile(c, vec![32, 32])),
+    );
+    check_golden(
+        "obs_traced_software_nds.txt",
+        &traced_artifacts(SoftwareNds::new),
+    );
+    check_golden(
+        "obs_traced_hardware_nds.txt",
+        &traced_artifacts(HardwareNds::new),
     );
 }
 
