@@ -27,21 +27,26 @@ use nds_workloads::{all_workloads, Workload, WorkloadParams, WorkloadRun};
 fn parse_args(args: &[String]) -> (WorkloadParams, u64) {
     let mut params = WorkloadParams::bench(0x4E44_5321);
     let mut cost_scale = 2;
-    let mut i = 0;
-    while i + 1 < args.len() {
-        match args[i].as_str() {
-            "--n" => params.n = args[i + 1].parse().expect("--n takes an integer"),
-            "--tile" => params.tile = args[i + 1].parse().expect("--tile takes an integer"),
-            "--iters" => params.iterations = args[i + 1].parse().expect("--iters takes an integer"),
-            "--cost-scale" => {
-                cost_scale = args[i + 1].parse().expect("--cost-scale takes an integer")
-            }
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--n" => params.n = flag_value(flag, args.next()),
+            "--tile" => params.tile = flag_value(flag, args.next()),
+            "--iters" => params.iterations = flag_value(flag, args.next()),
+            "--cost-scale" => cost_scale = flag_value(flag, args.next()),
             other => panic!("unknown flag {other}"),
         }
-        i += 2;
     }
     params.validate();
     (params, cost_scale)
+}
+
+/// Parses the integer following `flag`; panics if it is missing or malformed.
+fn flag_value<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> T {
+    let value = value.unwrap_or_else(|| panic!("{flag} needs a value"));
+    value
+        .parse()
+        .unwrap_or_else(|_| panic!("{flag} takes an integer, got {value}"))
 }
 
 fn config(cost_scale: u64, obs: ObsConfig) -> SystemConfig {
@@ -200,4 +205,41 @@ fn main() {
         eprintln!("chrome trace written to {}", path.display());
     }
     write_telemetry(metrics_path.as_ref(), dashboard_path.as_ref(), &report).expect("telemetry");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn parses_every_flag() {
+        let (params, cost_scale) = parse_args(&args(&[
+            "--n",
+            "512",
+            "--tile",
+            "128",
+            "--iters",
+            "3",
+            "--cost-scale",
+            "1",
+        ]));
+        assert_eq!((params.n, params.tile, params.iterations), (512, 128, 3));
+        assert_eq!(cost_scale, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown flag --bogus")]
+    fn rejects_a_trailing_unknown_flag() {
+        parse_args(&args(&["--bogus"]));
+    }
+
+    #[test]
+    #[should_panic(expected = "--n needs a value")]
+    fn rejects_a_flag_missing_its_value() {
+        parse_args(&args(&["--tile", "128", "--n"]));
+    }
 }

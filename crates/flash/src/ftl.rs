@@ -9,7 +9,7 @@
 //! shuffling is exactly the opacity challenge \[C1\] that NDS's STL replaces.
 
 use nds_faults::FaultConfig;
-use nds_sim::{SimTime, Stats, Trace};
+use nds_sim::{SimTime, Stats};
 use serde::{Deserialize, Serialize};
 
 use crate::device::{FlashDevice, PageState};
@@ -66,7 +66,6 @@ pub struct Ftl {
     /// fault relocation.
     reverse: Vec<u32>,
     stats: Stats,
-    trace: Trace,
 }
 
 impl Ftl {
@@ -89,7 +88,6 @@ impl Ftl {
             map: vec![0; exported as usize],
             reverse: vec![0; total],
             stats: Stats::new(),
-            trace: Trace::disabled(256),
             device,
             config,
         }
@@ -133,16 +131,6 @@ impl Ftl {
     /// [`read_run`](Self::read_run) calls inject and recover from faults.
     pub fn install_faults(&mut self, config: FaultConfig) {
         self.device.install_faults(config);
-    }
-
-    /// The FTL's garbage-collection event trace (disabled by default).
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Mutable access to the trace (enable/clear).
-    pub fn trace_mut(&mut self) -> &mut Trace {
-        &mut self.trace
     }
 
     /// The physical location currently backing `lba`, if written.
@@ -499,9 +487,6 @@ impl Ftl {
             self.device.erase_block(block_addr);
             now = self.device.schedule_erase(block_addr, now);
             self.stats.add("ftl.gc_runs", 1);
-            self.trace.record(now, "ftl.gc", || {
-                format!("erased ch{channel}/bk{bank}/blk{block} ({valid} pages relocated)")
-            });
         }
         Ok(now)
     }
@@ -646,18 +631,28 @@ mod tests {
     }
 
     #[test]
-    fn gc_trace_records_victims_when_enabled() {
+    fn gc_journals_victims_of_the_hammered_lane() {
         let mut f = ftl();
-        f.trace_mut().set_enabled(true);
+        f.device_mut()
+            .configure_observability(&nds_sim::ObsConfig::full());
         let per_bank = f.device().geometry().pages_per_bank() as u64;
         for round in 0..per_bank * 2 {
             f.write(0, pagev(&f, (round % 251) as u8), SimTime::ZERO)
                 .unwrap();
         }
-        assert!(!f.trace().is_empty(), "enabled trace must capture GC");
-        let event = f.trace().events().next().unwrap();
-        assert_eq!(event.category, "ftl.gc");
-        assert!(event.detail.contains("erased"));
+        let victims: Vec<(u32, u32)> = f
+            .device()
+            .observability()
+            .journal()
+            .events()
+            .filter_map(|e| match e.kind {
+                nds_sim::EventKind::GcVictimPicked { channel, bank, .. } => Some((channel, bank)),
+                _ => None,
+            })
+            .collect();
+        assert!(!victims.is_empty(), "GC must journal its victims");
+        // LBA 0 stripes to lane (0, 0), the only lane that fills up.
+        assert!(victims.iter().all(|&lane| lane == (0, 0)), "{victims:?}");
     }
 
     #[test]

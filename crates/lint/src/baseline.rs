@@ -25,7 +25,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::Path;
 
-use crate::{FileCounts, Rule};
+use crate::{json_escape, FileCounts, Rule};
 
 /// Grandfathered counts per `(rule, file)`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -288,10 +288,6 @@ impl Baseline {
         }
         sum
     }
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// The tiny JSON subset the baseline file uses.

@@ -1053,3 +1053,21 @@ pub fn existing_files(root: &Path) -> std::io::Result<BTreeSet<String>> {
         .map(|(rel, _)| rel)
         .collect())
 }
+
+/// Escapes `s` for a JSON string literal: quotes, backslashes, and every
+/// control character. Shared by the baseline writer and the `--json`
+/// report.
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}

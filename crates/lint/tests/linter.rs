@@ -323,6 +323,14 @@ fn baseline_round_trips_through_json() {
 }
 
 #[test]
+fn baseline_round_trips_escaped_file_names() {
+    let c = counts(&[(Rule::D2, "crates/a \"q\"\\b\n\t.rs", fc(1, 0))]);
+    let b = Baseline::from_counts(&c);
+    let parsed = Baseline::parse(&b.to_json()).expect("round trip");
+    assert_eq!(parsed.entries, b.entries);
+}
+
+#[test]
 fn baseline_rejects_stale_version_1_files() {
     let v1 = r#"{ "version": 1, "entries": [
         { "rule": "D4", "file": "crates/a/src/lib.rs", "count": 3 }

@@ -5,18 +5,16 @@
 //! which channels and banks a layout occupies, how request-size
 //! amortization shapes link time \[P2\]. This module gives every timing
 //! component a way to expose that: a structured [`Journal`] of typed
-//! events (superseding the free-form [`Trace`](crate::Trace) ring for
-//! machine consumption), fixed-log2-bucket [`LatencyHistogram`]s
+//! events, fixed-log2-bucket [`LatencyHistogram`]s
 //! registered next to [`Stats`], windowed busy-time [`BusyTimeline`]s fed
 //! by [`Resource`](crate::Resource), and a [`RunReport`] that serializes
 //! all of it as deterministic JSON.
 //!
 //! # Contract: zero-cost when disabled, schedule-neutral always
 //!
-//! Every hook follows the [`Trace::record`](crate::Trace::record)
-//! discipline: the disabled fast path is **one branch**, and event
-//! payloads are built by an `FnOnce` closure that never runs while
-//! disabled. Hooks only *observe* completion instants that the schedule
+//! Every hook follows one discipline: the disabled fast path is **one
+//! branch**, and event payloads are built by an `FnOnce` closure that
+//! never runs while disabled. Hooks only *observe* completion instants that the schedule
 //! already computed — they never acquire resources or alter state the
 //! scheduler reads — so enabling observability cannot change modeled
 //! time. `crates/system/tests/obs_invariance.rs` proves this per
@@ -68,8 +66,7 @@ impl fmt::Display for ComponentId {
 /// The typed event taxonomy (DESIGN.md "Observability").
 ///
 /// Variants carry only small `Copy` payloads so deferred construction is
-/// cheap even when enabled; free-form text stays in the legacy
-/// [`Trace`](crate::Trace).
+/// cheap even when enabled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
     /// A command crossed a host↔device interface (link or NVMe queue).
@@ -335,8 +332,7 @@ impl Journal {
     }
 
     /// Records one event. When disabled this is a single branch and the
-    /// `kind` closure never runs — the same zero-cost discipline as
-    /// [`Trace::record`](crate::Trace::record).
+    /// `kind` closure never runs.
     pub fn record(
         &mut self,
         at: SimTime,

@@ -15,15 +15,12 @@ use std::collections::BTreeMap;
 use nds_core::{ElementType, NdsError, Region, Shape};
 use nds_flash::{Ftl, FtlConfig};
 use nds_host::CpuModel;
-use nds_interconnect::Link;
-use nds_sim::{
-    record_command_partition, CommandTracer, ComponentId, Event, Observability, RunReport,
-    SimDuration, SimTime, Stats, TraceContext, TraceExport, TraceStage,
-};
+use nds_sim::{RunReport, SimDuration, SimTime, Stats, TraceExport, TraceStage};
 
 use crate::config::SystemConfig;
 use crate::error::SystemError;
-use crate::frontend::{DatasetId, ReadMetrics, ReadOutcome, StorageFrontEnd, WriteOutcome};
+use crate::frontend::{DatasetId, ReadMetrics, StorageFrontEnd, WriteOutcome};
+use crate::scope::OpScope;
 
 #[derive(Debug, Clone)]
 struct Dataset {
@@ -47,79 +44,26 @@ struct Extent {
 #[derive(Debug)]
 pub struct BaselineSystem {
     ftl: Ftl,
-    link: Link,
+    scope: OpScope,
     cpu: CpuModel,
     datasets: BTreeMap<DatasetId, Dataset>,
     next_id: u64,
     next_lba: u64,
-    stats: Stats,
-    obs: Observability,
-    tracer: Option<CommandTracer>,
 }
-
-/// Journal identity of a front-end's request-level span events.
-const SYSTEM_COMPONENT: ComponentId = ComponentId::singleton("system");
 
 impl BaselineSystem {
     /// Builds a baseline system from a configuration.
     pub fn new(config: SystemConfig) -> Self {
         let device = nds_flash::FlashDevice::new(config.flash.clone());
         let mut ftl = Ftl::new(device, FtlConfig::default());
-        let mut link = Link::new(config.link);
-        if let Some(faults) = config.faults {
-            ftl.install_faults(faults);
-            link.install_faults(faults);
-        }
-        ftl.device_mut().configure_observability(&config.obs);
-        link.configure_observability(&config.obs);
-        let mut obs = Observability::disabled();
-        obs.configure(&config.obs);
+        let scope = OpScope::new(&config, ftl.device_mut());
         BaselineSystem {
             ftl,
-            link,
+            scope,
             cpu: config.cpu,
             datasets: BTreeMap::new(),
             next_id: 1,
             next_lba: 0,
-            stats: Stats::new(),
-            obs,
-            tracer: config.obs.tracing.then(CommandTracer::new),
-        }
-    }
-
-    /// Starts a traced command: allocates its trace context and tags the
-    /// system, link, and device journals with it. Returns `None` (and does
-    /// nothing) unless tracing is configured.
-    fn begin_command(&mut self) -> Option<TraceContext> {
-        let ctx = self.tracer.as_mut().map(|t| t.begin())?;
-        self.obs.set_trace(ctx);
-        self.ftl.device_mut().begin_trace(ctx);
-        self.link.begin_trace(ctx);
-        Some(ctx)
-    }
-
-    /// Finishes a traced command: records its exact stage partition,
-    /// clears the trace tags, and advances the trace clock by `latency`.
-    fn finish_command(
-        &mut self,
-        ctx: TraceContext,
-        op: &'static str,
-        latency: SimDuration,
-        stages: &[(TraceStage, SimDuration)],
-    ) {
-        record_command_partition(
-            self.obs.journal_mut(),
-            SYSTEM_COMPONENT,
-            ctx,
-            op,
-            latency,
-            stages,
-        );
-        self.obs.clear_trace();
-        self.ftl.device_mut().end_trace();
-        self.link.end_trace();
-        if let Some(t) = self.tracer.as_mut() {
-            t.finish(latency);
         }
     }
 
@@ -180,7 +124,7 @@ impl BaselineSystem {
     /// order, where `wire_bytes` is the requested volume rounded up to
     /// 512-byte NVMe sectors — the device senses whole pages internally but
     /// transfers only the requested sectors across the link.
-    fn commands_for(&self, ds: &Dataset, extents: &[Extent]) -> Vec<(u64, u64, u64)> {
+    fn commands_for(&self, extents: &[Extent]) -> Vec<(u64, u64, u64)> {
         const SECTOR: u64 = 512;
         let ps = self.page_size();
         let mut commands: Vec<(u64, u64, u64)> = Vec::new();
@@ -213,7 +157,6 @@ impl BaselineSystem {
             }
             commands.push((first, last - first + 1, sector_bytes.max(SECTOR)));
         }
-        let _ = ds;
         commands
     }
 
@@ -305,9 +248,8 @@ impl StorageFrontEnd for BaselineSystem {
             }
             .into());
         }
-        self.ftl.device_mut().reset_timing();
-        self.link.reset_timing();
-        let ctx = self.begin_command();
+        self.scope.reset_timing(self.ftl.device_mut());
+        let ctx = self.scope.begin(self.ftl.device_mut());
 
         // [P1] serialization: scattering the object into the linear layout.
         let marshal = if extents.len() > 1 {
@@ -327,7 +269,7 @@ impl StorageFrontEnd for BaselineSystem {
             .zip(extents.iter().skip(1))
             .all(|(a, b)| a.dataset_off + a.len <= b.dataset_off));
         let ps = self.page_size();
-        let commands = self.commands_for(&ds, &extents);
+        let commands = self.commands_for(&extents);
         let mut pages: Vec<(u64, Vec<u8>)> = Vec::new();
         for e in &extents {
             let mut off = e.dataset_off;
@@ -365,11 +307,10 @@ impl StorageFrontEnd for BaselineSystem {
 
         // Link and submission costs per command.
         let mut link_end = SimTime::ZERO;
-        for &(first, count, _wire) in &commands {
-            let _ = first;
+        for &(_, count, _) in &commands {
             // Writes carry whole pages (the controller cannot
             // read-modify-write sectors it never received).
-            link_end = self.link.try_transfer(count * ps, SimTime::ZERO)?;
+            link_end = self.scope.link.try_transfer(count * ps, SimTime::ZERO)?;
         }
         let submit = self.cpu.submit_time(commands.len() as u64);
         let link_dur = link_end.saturating_since(SimTime::ZERO);
@@ -393,45 +334,16 @@ impl StorageFrontEnd for BaselineSystem {
                     program_end.saturating_since(SimTime::ZERO),
                 ),
             ];
-            self.finish_command(ctx, "write", latency, &stages);
+            self.scope
+                .finish(self.ftl.device_mut(), ctx, "write", latency, &stages);
         }
-
-        self.stats
-            .add("system.write_commands", commands.len() as u64);
-        self.stats.add("system.write_bytes", total_bytes);
-        self.obs.metric_add(SimTime::ZERO, "host.ops", 1);
-        self.obs
-            .metric_add(SimTime::ZERO, "host.bytes", total_bytes);
-        self.obs
-            .journal_mut()
-            .begin_span(SimTime::ZERO, SYSTEM_COMPONENT, "write");
-        self.obs
-            .journal_mut()
-            .end_span(SimTime::ZERO + latency, SYSTEM_COMPONENT, "write");
-        self.obs.latency("write.latency", latency);
-        // End the timing epoch by the operation's full span so per-lane
-        // timelines stay on the run-long clock (the link or a channel may
-        // have drained long before the program tail finished).
-        self.ftl.device_mut().fold_timing_epoch(latency);
-        self.link.fold_timing_epoch(latency);
-        self.obs.fold_metrics_epoch(latency);
-        Ok(WriteOutcome {
+        let outcome = WriteOutcome {
             latency,
             commands: commands.len() as u64,
             bytes: total_bytes,
-        })
-    }
-
-    fn read(
-        &mut self,
-        id: DatasetId,
-        view: &Shape,
-        coord: &[u64],
-        sub_dims: &[u64],
-    ) -> Result<ReadOutcome, SystemError> {
-        let mut data = Vec::new();
-        let metrics = self.read_into(id, view, coord, sub_dims, &mut data)?;
-        Ok(metrics.into_outcome(data))
+        };
+        self.scope.record_write(self.ftl.device_mut(), &outcome);
+        Ok(outcome)
     }
 
     fn read_into(
@@ -445,12 +357,11 @@ impl StorageFrontEnd for BaselineSystem {
         let ds = self.dataset(id)?.clone();
         let extents = Self::extents(&ds, view, coord, sub_dims)?;
         let total_bytes: u64 = extents.iter().map(|e| e.len).sum();
-        self.ftl.device_mut().reset_timing();
-        self.link.reset_timing();
-        let ctx = self.begin_command();
+        self.scope.reset_timing(self.ftl.device_mut());
+        let ctx = self.scope.begin(self.ftl.device_mut());
 
         let ps = self.page_size();
-        let commands = self.commands_for(&ds, &extents);
+        let commands = self.commands_for(&extents);
         // DMA streams pages to the host as they come off the channels, so
         // the link transfer overlaps the device batch: it can start once the
         // first page has been sensed and transferred internally.
@@ -471,6 +382,7 @@ impl StorageFrontEnd for BaselineSystem {
                     .fault_read_batch(&addrs, SimTime::ZERO)?
             };
             let link_end = self
+                .scope
                 .link
                 .try_transfer(wire_bytes.min(count * ps), first_page.min(dev_end))?;
             flash_end = flash_end.max(dev_end);
@@ -490,7 +402,7 @@ impl StorageFrontEnd for BaselineSystem {
             .ftl
             .device()
             .throughput_occupancy()
-            .max(self.link.busy_time())
+            .max(self.scope.link.busy_time())
             .max(submit);
 
         // [P1] deserialization: rebuilding the dense object from scattered
@@ -509,6 +421,13 @@ impl StorageFrontEnd for BaselineSystem {
             self.read_extent(&ds, *e, buf);
         }
 
+        let metrics = ReadMetrics {
+            io_latency,
+            io_occupancy,
+            restructure,
+            commands: commands.len() as u64,
+            bytes: total_bytes,
+        };
         if let Some(ctx) = ctx {
             // Waterfall back from the end of the io region: when command
             // submission dominated, the whole region is queue time;
@@ -523,37 +442,12 @@ impl StorageFrontEnd for BaselineSystem {
                 stages.push((TraceStage::Link, io_latency - flash));
             }
             stages.push((TraceStage::Restructure, restructure));
-            self.finish_command(ctx, "read", io_latency + restructure, &stages);
+            let latency = metrics.latency();
+            self.scope
+                .finish(self.ftl.device_mut(), ctx, "read", latency, &stages);
         }
-
-        self.stats
-            .add("system.read_commands", commands.len() as u64);
-        self.stats.add("system.read_bytes", total_bytes);
-        self.obs.metric_add(SimTime::ZERO, "host.ops", 1);
-        self.obs
-            .metric_add(SimTime::ZERO, "host.bytes", total_bytes);
-        self.obs
-            .journal_mut()
-            .begin_span(SimTime::ZERO, SYSTEM_COMPONENT, "read");
-        self.obs.journal_mut().end_span(
-            SimTime::ZERO + io_latency + restructure,
-            SYSTEM_COMPONENT,
-            "read",
-        );
-        self.obs.latency("read.io_latency", io_latency);
-        self.obs.latency("read.latency", io_latency + restructure);
-        self.ftl
-            .device_mut()
-            .fold_timing_epoch(io_latency + restructure);
-        self.link.fold_timing_epoch(io_latency + restructure);
-        self.obs.fold_metrics_epoch(io_latency + restructure);
-        Ok(ReadMetrics {
-            io_latency,
-            io_occupancy,
-            restructure,
-            commands: commands.len() as u64,
-            bytes: total_bytes,
-        })
+        self.scope.record_read(self.ftl.device_mut(), &metrics);
+        Ok(metrics)
     }
 
     fn delete_dataset(&mut self, id: DatasetId) -> Result<(), SystemError> {
@@ -573,55 +467,23 @@ impl StorageFrontEnd for BaselineSystem {
     }
 
     fn stats(&self) -> Stats {
-        let mut s = self.stats.clone();
-        s.merge(self.link.stats());
+        let mut s = self.scope.stats();
         s.merge(self.ftl.stats());
         s.merge(self.ftl.device().stats());
         s
     }
 
     fn run_report(&self) -> RunReport {
-        let mut report = self.stats().to_report();
-        report.set_meta("arch", self.name());
-        report.absorb(&self.obs);
-        report.absorb(self.link.observability());
-        report.absorb(self.ftl.device().observability());
-        if let Some(t) = self.link.wire_timeline() {
-            report.add_timeline("link", t);
-        }
-        for (name, t) in self.ftl.device().timeline_snapshots() {
-            report.add_timeline(name, t);
-        }
-        report
+        self.scope
+            .run_report(self.name(), &self.stats(), self.ftl.device())
     }
 
     fn trace_export(&self) -> Option<TraceExport> {
-        let tracer = self.tracer.as_ref()?;
-        let mut events: Vec<Event> = self.obs.journal().events().copied().collect();
-        events.extend(self.link.observability().journal().events().copied());
-        events.extend(
-            self.ftl
-                .device()
-                .observability()
-                .journal()
-                .events()
-                .copied(),
-        );
-        events.retain(|e| e.trace != 0);
-        // Stable sort: ties keep source order (system, link, flash).
-        events.sort_by_key(|e| e.at);
-        let (channels, banks) = self.ftl.device().lane_busy_totals();
-        Some(TraceExport {
-            events,
-            channels,
-            banks,
-            makespan: tracer.makespan(),
-            tenants: Vec::new(),
-        })
+        self.scope.trace_export(self.ftl.device())
     }
 
     fn trace_cursor(&self) -> u64 {
-        self.tracer.as_ref().map_or(0, CommandTracer::commands)
+        self.scope.trace_cursor()
     }
 }
 

@@ -11,41 +11,31 @@
 //! latency (§7.3 measures 17 µs worst-case) and the ARM-class cores'
 //! slower data handling, which shows up as the ~17% write penalty of §7.1.
 
-use std::collections::BTreeMap;
-
 use nds_core::{ElementType, Shape, SpaceId, Stl};
 use nds_host::CpuModel;
-use nds_interconnect::{wire, Link, NvmeCommand, QueuePair};
+use nds_interconnect::{wire, NvmeCommand, QueuePair};
 use nds_sim::{
-    record_command_partition, CommandTracer, ComponentId, Event, EventKind, Observability,
-    Resource, RunReport, SimDuration, SimTime, Stats, TraceContext, TraceExport, TraceStage,
+    ComponentId, EventKind, Resource, RunReport, SimDuration, SimTime, Stats, TraceExport,
+    TraceStage,
 };
 
 use crate::config::{ControllerConfig, SystemConfig};
 use crate::error::SystemError;
 use crate::flash_backend::FlashBackend;
-use crate::frontend::{DatasetId, ReadMetrics, ReadOutcome, StorageFrontEnd, WriteOutcome};
+use crate::frontend::{DatasetId, ReadMetrics, StorageFrontEnd, WriteOutcome};
+use crate::nds::NdsCore;
 
 /// NDS with the STL embedded in the storage controller.
 #[derive(Debug)]
 pub struct HardwareNds {
-    stl: Stl<FlashBackend>,
-    link: Link,
+    core: NdsCore,
     cpu: CpuModel,
     controller: ControllerConfig,
     transfer_chunk: u64,
-    datasets: BTreeMap<DatasetId, SpaceId>,
     queue: QueuePair,
-    next_id: u64,
-    stats: Stats,
-    obs: Observability,
-    tracer: Option<CommandTracer>,
     /// The on-device data assembler; reset at the start of every read.
     assembler: Resource,
 }
-
-/// Journal identity of the front-end's request-level span events.
-const SYSTEM_COMPONENT: ComponentId = ComponentId::singleton("system");
 
 /// Journal identity of the NVMe submission/completion queue pair.
 const QUEUE_COMPONENT: ComponentId = ComponentId::singleton("nvme.queue");
@@ -56,66 +46,13 @@ impl HardwareNds {
 
     /// Builds a hardware-NDS system from a configuration.
     pub fn new(config: SystemConfig) -> Self {
-        let mut backend = FlashBackend::new(config.flash.clone());
-        let mut link = Link::new(config.link);
-        if let Some(faults) = config.faults {
-            backend.install_faults(faults);
-            link.install_faults(faults);
-        }
-        backend.device_mut().configure_observability(&config.obs);
-        link.configure_observability(&config.obs);
-        let mut obs = Observability::disabled();
-        obs.configure(&config.obs);
         HardwareNds {
-            stl: Stl::new(backend, config.stl),
-            link,
+            core: NdsCore::new(&config),
             cpu: config.cpu,
             controller: config.controller,
             transfer_chunk: config.nds_transfer_chunk,
-            datasets: BTreeMap::new(),
             queue: QueuePair::new(64),
-            next_id: 1,
-            stats: Stats::new(),
-            obs,
-            tracer: config.obs.tracing.then(CommandTracer::new),
             assembler: Resource::new("nds.assembler"),
-        }
-    }
-
-    /// Starts a traced command: allocates its trace context and tags the
-    /// system, link, and device journals with it — before the NVMe queue
-    /// events, so the extended command's submission is part of the trace.
-    /// `None` unless tracing is configured.
-    fn begin_command(&mut self) -> Option<TraceContext> {
-        let ctx = self.tracer.as_mut().map(|t| t.begin())?;
-        self.obs.set_trace(ctx);
-        self.stl.backend_mut().device_mut().begin_trace(ctx);
-        self.link.begin_trace(ctx);
-        Some(ctx)
-    }
-
-    /// Finishes a traced command: records its exact stage partition,
-    /// clears the trace tags, and advances the trace clock by `latency`.
-    fn finish_command(
-        &mut self,
-        ctx: TraceContext,
-        op: &'static str,
-        latency: SimDuration,
-        stages: &[(TraceStage, SimDuration)],
-    ) {
-        record_command_partition(
-            self.obs.journal_mut(),
-            SYSTEM_COMPONENT,
-            ctx,
-            op,
-            latency,
-            stages,
-        );
-        self.obs.clear_trace();
-        self.stl.backend_mut().device_mut().end_trace();
-        self.link.end_trace();
-        if let Some(t) = self.tracer.as_mut() {
-            t.finish(latency);
         }
     }
 
@@ -124,17 +61,19 @@ impl HardwareNds {
     /// and decodes. Returns the decoded command the controller executes.
     fn submit_command(&mut self, cmd: NvmeCommand) -> Result<NvmeCommand, SystemError> {
         let wired = wire::encode(&cmd)?;
-        self.stats.add("nvme.wire_bytes", wired.wire_bytes());
+        let scope = &mut self.core.scope;
+        scope.stats.add("nvme.wire_bytes", wired.wire_bytes());
         let wire_bytes = wired.wire_bytes();
         // The queue drains synchronously, so issue and completion share the
         // per-operation epoch anchor rather than carrying modeled time.
-        self.obs.event(SimTime::ZERO, QUEUE_COMPONENT, || {
+        scope.obs.event(SimTime::ZERO, QUEUE_COMPONENT, || {
             EventKind::CommandIssued { bytes: wire_bytes }
         });
         self.queue.submit(cmd)?;
-        if self.obs.metrics().is_enabled() {
+        if scope.obs.metrics().is_enabled() {
             let depth = self.queue.in_flight() as u64;
-            self.obs
+            scope
+                .obs
                 .metric_sample(SimTime::ZERO, "nvme.queue_depth", depth);
         }
         let popped = self
@@ -145,7 +84,7 @@ impl HardwareNds {
         debug_assert_eq!(decoded, popped, "wire format must be faithful");
         self.queue.complete(popped);
         let _ = self.queue.reap();
-        self.obs.event(SimTime::ZERO, QUEUE_COMPONENT, || {
+        scope.obs.event(SimTime::ZERO, QUEUE_COMPONENT, || {
             EventKind::CommandCompleted { bytes: wire_bytes }
         });
         Ok(decoded)
@@ -153,45 +92,26 @@ impl HardwareNds {
 
     /// The controller-resident STL (exposed for overhead experiments).
     pub fn stl(&self) -> &Stl<FlashBackend> {
-        &self.stl
-    }
-
-    fn space_of(&self, id: DatasetId) -> Result<SpaceId, SystemError> {
-        self.datasets
-            .get(&id)
-            .copied()
-            .ok_or(SystemError::UnknownDataset(id))
+        &self.core.stl
     }
 
     /// The controller pipeline's fixed per-request latency for `space`
     /// (Fig. 8; one B-tree traversal per request, §7.3).
     fn stl_latency(&self, space: SpaceId) -> SimDuration {
-        let levels = self
-            .stl
-            .space(space)
-            .map(|s| s.tree().levels())
-            .unwrap_or(2);
-        self.controller.pipeline.request_latency(levels)
+        self.controller
+            .pipeline
+            .request_latency(self.core.tree_levels(space))
     }
 
-    /// Device-side assembler time: DMA descriptors per segment plus the
-    /// assembler's internal bandwidth over the payload.
-    fn assemble_time(&self, segments: u64, bytes: u64) -> SimDuration {
+    /// In-device data handling: a fixed cost per segment (a DMA descriptor
+    /// when the assembler builds a read's object, a scatter chunk when the
+    /// ARM cores decompose a write into page images) plus the assembler's
+    /// internal bandwidth over the payload.
+    fn handling_time(&self, per_segment: SimDuration, segments: u64, bytes: u64) -> SimDuration {
         if bytes == 0 {
             return SimDuration::ZERO;
         }
-        Self::DMA_DESCRIPTOR_COST * segments
-            + self.controller.assemble_bandwidth.time_for_bytes(bytes)
-    }
-
-    /// Controller decomposition time on writes: the ARM cores scatter the
-    /// incoming object into page images.
-    fn decompose_time(&self, segments: u64, bytes: u64) -> SimDuration {
-        if bytes == 0 {
-            return SimDuration::ZERO;
-        }
-        self.controller.scatter_chunk_overhead * segments
-            + self.controller.assemble_bandwidth.time_for_bytes(bytes)
+        per_segment * segments + self.controller.assemble_bandwidth.time_for_bytes(bytes)
     }
 
     /// Link time for shipping `bytes` in saturating chunks.
@@ -203,7 +123,7 @@ impl HardwareNds {
         let mut end = SimTime::ZERO;
         while remaining > 0 {
             let take = remaining.min(self.transfer_chunk);
-            end = self.link.try_transfer(take, SimTime::ZERO)?;
+            end = self.core.scope.link.try_transfer(take, SimTime::ZERO)?;
             remaining -= take;
         }
         Ok(end.saturating_since(SimTime::ZERO))
@@ -220,11 +140,7 @@ impl StorageFrontEnd for HardwareNds {
         shape: Shape,
         element: ElementType,
     ) -> Result<DatasetId, SystemError> {
-        let space = self.stl.create_space(shape, element)?;
-        let id = DatasetId(self.next_id);
-        self.next_id += 1;
-        self.datasets.insert(id, space);
-        Ok(id)
+        self.core.create_dataset(shape, element)
     }
 
     fn write(
@@ -235,8 +151,11 @@ impl StorageFrontEnd for HardwareNds {
         sub_dims: &[u64],
         data: &[u8],
     ) -> Result<WriteOutcome, SystemError> {
-        let space = self.space_of(id)?;
-        let ctx = self.begin_command();
+        let space = self.core.space_of(id)?;
+        // Open the traced window before the NVMe submission, so the queue
+        // events belong to the command's trace.
+        let (scope, device) = self.core.scope_and_device();
+        let ctx = scope.begin(device);
         // The request travels as one extended NVMe write (§5.3.1); validate
         // it against the interface limits, then marshal it through the real
         // wire codec and submission queue.
@@ -252,18 +171,22 @@ impl StorageFrontEnd for HardwareNds {
             } => (coord, sub_dims),
             _ => return Err(SystemError::Protocol("decoded write changed command kind")),
         };
-        let report = self.stl.write(space, view, &coord, &sub_dims, data)?;
-        self.stl.backend_mut().device_mut().reset_timing();
-        self.link.reset_timing();
+        let report = self.core.stl.write(space, view, &coord, &sub_dims, data)?;
+        let (scope, device) = self.core.scope_and_device();
+        scope.reset_timing(device);
 
         // One extended NVMe command; the object streams in over the link,
         // the controller decomposes it, the channel handlers program pages.
         let submit = self.cpu.submit_time(1);
         let link = self.chunked_link_time(report.access.bytes)?;
-        let decompose = self.decompose_time(report.access.segments, report.access.bytes);
+        let decompose = self.handling_time(
+            self.controller.scatter_chunk_overhead,
+            report.access.segments,
+            report.access.bytes,
+        );
         let mut program_end = SimTime::ZERO;
         for block in &report.access.blocks {
-            let backend = self.stl.backend_mut();
+            let backend = self.core.stl.backend_mut();
             program_end =
                 program_end.max(backend.try_schedule_unit_programs(&block.units, SimTime::ZERO)?);
         }
@@ -271,18 +194,15 @@ impl StorageFrontEnd for HardwareNds {
         let program_tail = program_end.saturating_since(SimTime::ZERO);
         let latency = stl + submit + link + decompose + program_tail;
 
-        self.stats.add("system.write_commands", 1);
-        self.stats.add("system.write_bytes", report.access.bytes);
-        self.obs.metric_add(SimTime::ZERO, "host.ops", 1);
-        self.obs
-            .metric_add(SimTime::ZERO, "host.bytes", report.access.bytes);
-        self.obs
-            .journal_mut()
-            .begin_span(SimTime::ZERO, SYSTEM_COMPONENT, "write");
-        self.obs
-            .journal_mut()
-            .end_span(SimTime::ZERO + latency, SYSTEM_COMPONENT, "write");
-        self.obs.latency("write.latency", latency);
+        // Recorded inside the traced window: the `system` span carries the
+        // command's trace id.
+        let outcome = WriteOutcome {
+            latency,
+            commands: 1,
+            bytes: report.access.bytes,
+        };
+        let (scope, device) = self.core.scope_and_device();
+        scope.record_write(device, &outcome);
         if let Some(ctx) = ctx {
             // The write is a strict chronological chain: controller STL
             // lookup, NVMe submission, the object streaming over the link,
@@ -294,33 +214,9 @@ impl StorageFrontEnd for HardwareNds {
                 (TraceStage::Restructure, decompose),
                 (TraceStage::Flash, program_tail),
             ];
-            self.finish_command(ctx, "write", latency, &stages);
+            scope.finish(device, ctx, "write", latency, &stages);
         }
-        // End the timing epoch by the operation's full span so per-lane
-        // timelines stay on the run-long clock.
-        self.stl
-            .backend_mut()
-            .device_mut()
-            .fold_timing_epoch(latency);
-        self.link.fold_timing_epoch(latency);
-        self.obs.fold_metrics_epoch(latency);
-        Ok(WriteOutcome {
-            latency,
-            commands: 1,
-            bytes: report.access.bytes,
-        })
-    }
-
-    fn read(
-        &mut self,
-        id: DatasetId,
-        view: &Shape,
-        coord: &[u64],
-        sub_dims: &[u64],
-    ) -> Result<ReadOutcome, SystemError> {
-        let mut data = Vec::new();
-        let metrics = self.read_into(id, view, coord, sub_dims, &mut data)?;
-        Ok(metrics.into_outcome(data))
+        Ok(outcome)
     }
 
     fn read_into(
@@ -331,8 +227,11 @@ impl StorageFrontEnd for HardwareNds {
         sub_dims: &[u64],
         buf: &mut Vec<u8>,
     ) -> Result<ReadMetrics, SystemError> {
-        let space = self.space_of(id)?;
-        let ctx = self.begin_command();
+        let space = self.core.space_of(id)?;
+        // Open the traced window before the NVMe submission, so the queue
+        // events belong to the command's trace.
+        let (scope, device) = self.core.scope_and_device();
+        let ctx = scope.begin(device);
         // The request travels as one extended NVMe read (§5.3.1), marshalled
         // through the real wire codec and submission queue.
         let cmd = NvmeCommand::NdsRead {
@@ -347,9 +246,12 @@ impl StorageFrontEnd for HardwareNds {
             } => (coord, sub_dims),
             _ => return Err(SystemError::Protocol("decoded read changed command kind")),
         };
-        let report = self.stl.read_into(space, view, &coord, &sub_dims, buf)?;
-        self.stl.backend_mut().device_mut().reset_timing();
-        self.link.reset_timing();
+        let report = self
+            .core
+            .stl
+            .read_into(space, view, &coord, &sub_dims, buf)?;
+        let (scope, device) = self.core.scope_and_device();
+        scope.reset_timing(device);
 
         // Device: all covered blocks stream concurrently at internal
         // bandwidth; the assembler and the link pipeline behind them. The
@@ -361,13 +263,14 @@ impl StorageFrontEnd for HardwareNds {
         let blocks = report.blocks.len().max(1) as u64;
         let seg_per_block = report.segments.div_ceil(blocks);
         let bytes_per_block = report.bytes.div_ceil(blocks);
-        let asm_per_block = self.assemble_time(seg_per_block, bytes_per_block);
+        let asm_per_block =
+            self.handling_time(Self::DMA_DESCRIPTOR_COST, seg_per_block, bytes_per_block);
         let mut asm_end = SimTime::ZERO;
         for (i, block) in report.blocks.iter().enumerate() {
             if block.units.is_empty() {
                 continue;
             }
-            let backend = self.stl.backend_mut();
+            let backend = self.core.stl.backend_mut();
             let end = backend.try_schedule_unit_reads(&block.units, SimTime::ZERO)?;
             if i == 0 {
                 first_block = end.saturating_since(SimTime::ZERO);
@@ -381,29 +284,22 @@ impl StorageFrontEnd for HardwareNds {
         let asm_dur = asm_end.saturating_since(SimTime::ZERO);
         let region = asm_dur.max(link + first_block);
         let io_latency = stl + submit + region;
+        let (scope, device) = self.core.scope_and_device();
         // Steady-state pacing: device lanes, the in-device assembler, and
         // the wire drain their aggregate work concurrently.
-        let io_occupancy = self
-            .stl
-            .backend()
-            .device()
+        let io_occupancy = device
             .throughput_occupancy()
             .max(self.assembler.busy_time())
-            .max(self.link.busy_time());
-
-        self.stats.add("system.read_commands", 1);
-        self.stats.add("system.read_bytes", report.bytes);
-        self.obs.metric_add(SimTime::ZERO, "host.ops", 1);
-        self.obs
-            .metric_add(SimTime::ZERO, "host.bytes", report.bytes);
-        self.obs
-            .journal_mut()
-            .begin_span(SimTime::ZERO, SYSTEM_COMPONENT, "read");
-        self.obs
-            .journal_mut()
-            .end_span(SimTime::ZERO + io_latency, SYSTEM_COMPONENT, "read");
-        self.obs.latency("read.io_latency", io_latency);
-        self.obs.latency("read.latency", io_latency);
+            .max(scope.link.busy_time());
+        let metrics = ReadMetrics {
+            io_latency,
+            io_occupancy,
+            restructure: SimDuration::ZERO,
+            commands: 1,
+            bytes: report.bytes,
+        };
+        // Recorded inside the traced window, like the write.
+        scope.record_read(device, &metrics);
         if let Some(ctx) = ctx {
             // After the fixed STL + submission prefix, the critical path of
             // the remaining region is either the in-device assembler (flash
@@ -421,85 +317,31 @@ impl StorageFrontEnd for HardwareNds {
                 stages.push((TraceStage::Flash, flash));
                 stages.push((TraceStage::Link, region - flash));
             }
-            self.finish_command(ctx, "read", io_latency, &stages);
+            scope.finish(device, ctx, "read", io_latency, &stages);
         }
-        self.stl
-            .backend_mut()
-            .device_mut()
-            .fold_timing_epoch(io_latency);
-        self.link.fold_timing_epoch(io_latency);
-        self.obs.fold_metrics_epoch(io_latency);
-        Ok(ReadMetrics {
-            io_latency,
-            io_occupancy,
-            restructure: SimDuration::ZERO,
-            commands: 1,
-            bytes: report.bytes,
-        })
+        Ok(metrics)
     }
 
     fn delete_dataset(&mut self, id: DatasetId) -> Result<(), SystemError> {
-        let space = self
-            .datasets
-            .remove(&id)
-            .ok_or(SystemError::UnknownDataset(id))?;
-        self.stl.delete_space(space)?;
-        self.stats.add("system.delete_commands", 1);
+        self.core.delete_dataset(id)?;
+        self.core.scope.stats.add("system.delete_commands", 1);
         Ok(())
     }
 
     fn stats(&self) -> Stats {
-        let mut s = self.stats.clone();
-        s.merge(self.link.stats());
-        s.merge(self.stl.backend().stats());
-        s.merge(self.stl.backend().device().stats());
-        s.add("stl.plan_cache.hits", self.stl.plan_cache().hits());
-        s.add("stl.plan_cache.misses", self.stl.plan_cache().misses());
-        s
+        self.core.stats()
     }
 
     fn run_report(&self) -> RunReport {
-        let mut report = self.stats().to_report();
-        report.set_meta("arch", self.name());
-        report.absorb(&self.obs);
-        report.absorb(self.link.observability());
-        report.absorb(self.stl.backend().device().observability());
-        if let Some(t) = self.link.wire_timeline() {
-            report.add_timeline("link", t);
-        }
-        for (name, t) in self.stl.backend().device().timeline_snapshots() {
-            report.add_timeline(name, t);
-        }
-        report
+        self.core.run_report(self.name())
     }
 
     fn trace_export(&self) -> Option<TraceExport> {
-        let tracer = self.tracer.as_ref()?;
-        let mut events: Vec<Event> = self.obs.journal().events().copied().collect();
-        events.extend(self.link.observability().journal().events().copied());
-        events.extend(
-            self.stl
-                .backend()
-                .device()
-                .observability()
-                .journal()
-                .events()
-                .copied(),
-        );
-        events.retain(|e| e.trace != 0);
-        events.sort_by_key(|e| e.at);
-        let (channels, banks) = self.stl.backend().device().lane_busy_totals();
-        Some(TraceExport {
-            events,
-            channels,
-            banks,
-            makespan: tracer.makespan(),
-            tenants: Vec::new(),
-        })
+        self.core.trace_export()
     }
 
     fn trace_cursor(&self) -> u64 {
-        self.tracer.as_ref().map_or(0, CommandTracer::commands)
+        self.core.scope.trace_cursor()
     }
 }
 

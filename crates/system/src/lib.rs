@@ -56,7 +56,9 @@ mod error;
 mod flash_backend;
 mod frontend;
 mod hardware;
+mod nds;
 mod oracle;
+mod scope;
 mod software;
 mod tenants;
 

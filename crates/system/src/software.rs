@@ -16,122 +16,44 @@
 //!   images and submits page-granular program commands; §7.1 measures the
 //!   combination as a ~30% write-bandwidth loss.
 
-use std::collections::BTreeMap;
-
 use nds_core::{ElementType, NvmBackend, Shape, SpaceId, Stl};
 use nds_host::CpuModel;
-use nds_interconnect::Link;
-use nds_sim::{
-    record_command_partition, CommandTracer, ComponentId, Event, Observability, RunReport,
-    SimDuration, SimTime, Stats, TraceContext, TraceExport, TraceStage,
-};
+use nds_sim::{RunReport, SimDuration, SimTime, Stats, TraceExport, TraceStage};
 
 use crate::config::SystemConfig;
 use crate::controller::HostStlPath;
 use crate::error::SystemError;
 use crate::flash_backend::FlashBackend;
-use crate::frontend::{DatasetId, ReadMetrics, ReadOutcome, StorageFrontEnd, WriteOutcome};
+use crate::frontend::{DatasetId, ReadMetrics, StorageFrontEnd, WriteOutcome};
+use crate::nds::NdsCore;
 
 /// NDS with the STL running on the host CPU over LightNVM.
 #[derive(Debug)]
 pub struct SoftwareNds {
-    stl: Stl<FlashBackend>,
-    link: Link,
+    core: NdsCore,
     cpu: CpuModel,
     stl_path: HostStlPath,
-    datasets: BTreeMap<DatasetId, SpaceId>,
-    next_id: u64,
-    stats: Stats,
-    obs: Observability,
-    tracer: Option<CommandTracer>,
 }
-
-/// Journal identity of the front-end's request-level span events.
-const SYSTEM_COMPONENT: ComponentId = ComponentId::singleton("system");
 
 impl SoftwareNds {
     /// Builds a software-NDS system from a configuration.
     pub fn new(config: SystemConfig) -> Self {
-        let mut backend = FlashBackend::new(config.flash.clone());
-        let mut link = Link::new(config.link);
-        if let Some(faults) = config.faults {
-            backend.install_faults(faults);
-            link.install_faults(faults);
-        }
-        backend.device_mut().configure_observability(&config.obs);
-        link.configure_observability(&config.obs);
-        let mut obs = Observability::disabled();
-        obs.configure(&config.obs);
         SoftwareNds {
-            stl: Stl::new(backend, config.stl),
-            link,
+            core: NdsCore::new(&config),
             cpu: config.cpu,
             stl_path: config.sw_stl_path,
-            datasets: BTreeMap::new(),
-            next_id: 1,
-            stats: Stats::new(),
-            obs,
-            tracer: config.obs.tracing.then(CommandTracer::new),
-        }
-    }
-
-    /// Starts a traced command: allocates its trace context and tags the
-    /// system, link, and device journals with it. `None` unless tracing is
-    /// configured.
-    fn begin_command(&mut self) -> Option<TraceContext> {
-        let ctx = self.tracer.as_mut().map(|t| t.begin())?;
-        self.obs.set_trace(ctx);
-        self.stl.backend_mut().device_mut().begin_trace(ctx);
-        self.link.begin_trace(ctx);
-        Some(ctx)
-    }
-
-    /// Finishes a traced command: records its exact stage partition,
-    /// clears the trace tags, and advances the trace clock by `latency`.
-    fn finish_command(
-        &mut self,
-        ctx: TraceContext,
-        op: &'static str,
-        latency: SimDuration,
-        stages: &[(TraceStage, SimDuration)],
-    ) {
-        record_command_partition(
-            self.obs.journal_mut(),
-            SYSTEM_COMPONENT,
-            ctx,
-            op,
-            latency,
-            stages,
-        );
-        self.obs.clear_trace();
-        self.stl.backend_mut().device_mut().end_trace();
-        self.link.end_trace();
-        if let Some(t) = self.tracer.as_mut() {
-            t.finish(latency);
         }
     }
 
     /// The host-resident STL (exposed for overhead experiments).
     pub fn stl(&self) -> &Stl<FlashBackend> {
-        &self.stl
-    }
-
-    fn space_of(&self, id: DatasetId) -> Result<SpaceId, SystemError> {
-        self.datasets
-            .get(&id)
-            .copied()
-            .ok_or(SystemError::UnknownDataset(id))
+        &self.core.stl
     }
 
     /// The host STL's fixed per-request latency for `space` (one B-tree
     /// traversal per request, §7.3).
     fn stl_latency(&self, space: SpaceId) -> SimDuration {
-        let levels = self
-            .stl
-            .space(space)
-            .map(|s| s.tree().levels())
-            .unwrap_or(2);
-        self.stl_path.request_latency(levels)
+        self.stl_path.request_latency(self.core.tree_levels(space))
     }
 }
 
@@ -145,11 +67,7 @@ impl StorageFrontEnd for SoftwareNds {
         shape: Shape,
         element: ElementType,
     ) -> Result<DatasetId, SystemError> {
-        let space = self.stl.create_space(shape, element)?;
-        let id = DatasetId(self.next_id);
-        self.next_id += 1;
-        self.datasets.insert(id, space);
-        Ok(id)
+        self.core.create_dataset(shape, element)
     }
 
     fn write(
@@ -160,12 +78,12 @@ impl StorageFrontEnd for SoftwareNds {
         sub_dims: &[u64],
         data: &[u8],
     ) -> Result<WriteOutcome, SystemError> {
-        let space = self.space_of(id)?;
-        let report = self.stl.write(space, view, coord, sub_dims, data)?;
-        let page = self.stl.backend().spec().unit_bytes as u64;
-        self.stl.backend_mut().device_mut().reset_timing();
-        self.link.reset_timing();
-        let ctx = self.begin_command();
+        let space = self.core.space_of(id)?;
+        let report = self.core.stl.write(space, view, coord, sub_dims, data)?;
+        let page = self.core.stl.backend().spec().unit_bytes as u64;
+        let (scope, device) = self.core.scope_and_device();
+        scope.reset_timing(device);
+        let ctx = scope.begin(device);
 
         // Host decomposition: one scattered copy per translation segment.
         let decompose = self
@@ -177,15 +95,14 @@ impl StorageFrontEnd for SoftwareNds {
         let mut unit_commands = 0u64;
         let mut link_end = SimTime::ZERO;
         let mut program_end = SimTime::ZERO;
+        let link = &mut self.core.scope.link;
         for block in &report.access.blocks {
             unit_commands += block.units.len() as u64;
             if block.units.is_empty() {
                 continue;
             }
-            link_end = self
-                .link
-                .try_transfer(block.units.len() as u64 * page, SimTime::ZERO)?;
-            let backend = self.stl.backend_mut();
+            link_end = link.try_transfer(block.units.len() as u64 * page, SimTime::ZERO)?;
+            let backend = self.core.stl.backend_mut();
             program_end =
                 program_end.max(backend.try_schedule_unit_programs(&block.units, link_end)?);
         }
@@ -196,6 +113,7 @@ impl StorageFrontEnd for SoftwareNds {
         let program_tail = program_end.saturating_since(link_end.max(SimTime::ZERO));
         let latency = stl + decompose + io + program_tail;
 
+        let (scope, device) = self.core.scope_and_device();
         if let Some(ctx) = ctx {
             // Chronological waterfall: STL traversal, host decomposition,
             // the io region (submission vs. link), and the program tail
@@ -211,46 +129,15 @@ impl StorageFrontEnd for SoftwareNds {
                 (io_stage, io),
                 (TraceStage::Flash, program_tail),
             ];
-            self.finish_command(ctx, "write", latency, &stages);
+            scope.finish(device, ctx, "write", latency, &stages);
         }
-
-        self.stats.add("system.write_commands", unit_commands);
-        self.stats.add("system.write_bytes", report.access.bytes);
-        self.obs.metric_add(SimTime::ZERO, "host.ops", 1);
-        self.obs
-            .metric_add(SimTime::ZERO, "host.bytes", report.access.bytes);
-        self.obs
-            .journal_mut()
-            .begin_span(SimTime::ZERO, SYSTEM_COMPONENT, "write");
-        self.obs
-            .journal_mut()
-            .end_span(SimTime::ZERO + latency, SYSTEM_COMPONENT, "write");
-        self.obs.latency("write.latency", latency);
-        // End the timing epoch by the operation's full span so per-lane
-        // timelines stay on the run-long clock.
-        self.stl
-            .backend_mut()
-            .device_mut()
-            .fold_timing_epoch(latency);
-        self.link.fold_timing_epoch(latency);
-        self.obs.fold_metrics_epoch(latency);
-        Ok(WriteOutcome {
+        let outcome = WriteOutcome {
             latency,
             commands: unit_commands,
             bytes: report.access.bytes,
-        })
-    }
-
-    fn read(
-        &mut self,
-        id: DatasetId,
-        view: &Shape,
-        coord: &[u64],
-        sub_dims: &[u64],
-    ) -> Result<ReadOutcome, SystemError> {
-        let mut data = Vec::new();
-        let metrics = self.read_into(id, view, coord, sub_dims, &mut data)?;
-        Ok(metrics.into_outcome(data))
+        };
+        scope.record_write(device, &outcome);
+        Ok(outcome)
     }
 
     fn read_into(
@@ -261,12 +148,12 @@ impl StorageFrontEnd for SoftwareNds {
         sub_dims: &[u64],
         buf: &mut Vec<u8>,
     ) -> Result<ReadMetrics, SystemError> {
-        let space = self.space_of(id)?;
-        let report = self.stl.read_into(space, view, coord, sub_dims, buf)?;
-        let page = self.stl.backend().spec().unit_bytes as u64;
-        self.stl.backend_mut().device_mut().reset_timing();
-        self.link.reset_timing();
-        let ctx = self.begin_command();
+        let space = self.core.space_of(id)?;
+        let report = self.core.stl.read_into(space, view, coord, sub_dims, buf)?;
+        let page = self.core.stl.backend().spec().unit_bytes as u64;
+        let (scope, device) = self.core.scope_and_device();
+        scope.reset_timing(device);
+        let ctx = scope.begin(device);
 
         // Vectored physical-read commands (LightNVM supports scatter lists
         // of up to 64 pages per command): each command's units stream off
@@ -281,19 +168,23 @@ impl StorageFrontEnd for SoftwareNds {
         let mut pending_bytes = 0u64;
         let mut pending_units = 0usize;
         let mut pending_ready = SimTime::ZERO;
-        for block in &report.blocks {
-            if block.units.is_empty() {
-                continue;
-            }
+        let mut blocks = report
+            .blocks
+            .iter()
+            .filter(|b| !b.units.is_empty())
+            .peekable();
+        let link = &mut self.core.scope.link;
+        while let Some(block) = blocks.next() {
             total_units += block.units.len() as u64;
-            let backend = self.stl.backend_mut();
+            let backend = self.core.stl.backend_mut();
             let dev_end = backend.try_schedule_unit_reads(&block.units, SimTime::ZERO)?;
             flash_end = flash_end.max(dev_end);
             pending_ready = pending_ready.max(dev_end);
             pending_bytes += block.sector_bytes.min(block.units.len() as u64 * page);
             pending_units += block.units.len();
-            if pending_units >= VECTOR_PAGES {
-                let end = self.link.try_transfer(pending_bytes, pending_ready)?;
+            // Flush a full vector, and the partial one after the last block.
+            if pending_units >= VECTOR_PAGES || blocks.peek().is_none() {
+                let end = link.try_transfer(pending_bytes, pending_ready)?;
                 if first_block.is_zero() {
                     first_block = end.saturating_since(SimTime::ZERO);
                     first_ready = pending_ready;
@@ -303,14 +194,6 @@ impl StorageFrontEnd for SoftwareNds {
                 pending_units = 0;
                 pending_ready = SimTime::ZERO;
             }
-        }
-        if pending_units > 0 {
-            let end = self.link.try_transfer(pending_bytes, pending_ready)?;
-            if first_block.is_zero() {
-                first_block = end.saturating_since(SimTime::ZERO);
-                first_ready = pending_ready;
-            }
-            io_end = io_end.max(end);
         }
         let commands = (total_units as usize).div_ceil(VECTOR_PAGES) as u64;
         let submit = self.cpu.submit_time(commands);
@@ -324,6 +207,7 @@ impl StorageFrontEnd for SoftwareNds {
         let region = io_dur.max(submit).max(assembly + first_block);
         let io_latency = stl + region;
 
+        let (scope, device) = self.core.scope_and_device();
         if let Some(ctx) = ctx {
             // Waterfall back from whichever term won the overlapped
             // region: submission (queue), the last link flush (flash up
@@ -343,102 +227,44 @@ impl StorageFrontEnd for SoftwareNds {
                 stages.push((TraceStage::Link, first_block - flash));
                 stages.push((TraceStage::Restructure, assembly));
             }
-            self.finish_command(ctx, "read", io_latency, &stages);
+            scope.finish(device, ctx, "read", io_latency, &stages);
         }
         // Steady-state pacing: aggregate device, wire, submission, and host
         // assembly work, whichever drains slowest.
-        let io_occupancy = self
-            .stl
-            .backend()
-            .device()
+        let io_occupancy = device
             .throughput_occupancy()
-            .max(self.link.busy_time())
+            .max(scope.link.busy_time())
             .max(submit)
             .max(assembly);
-
-        self.stats.add("system.read_commands", commands);
-        self.stats.add("system.read_bytes", report.bytes);
-        self.obs.metric_add(SimTime::ZERO, "host.ops", 1);
-        self.obs
-            .metric_add(SimTime::ZERO, "host.bytes", report.bytes);
-        self.obs
-            .journal_mut()
-            .begin_span(SimTime::ZERO, SYSTEM_COMPONENT, "read");
-        self.obs
-            .journal_mut()
-            .end_span(SimTime::ZERO + io_latency, SYSTEM_COMPONENT, "read");
-        self.obs.latency("read.io_latency", io_latency);
-        self.obs.latency("read.latency", io_latency);
-        self.stl
-            .backend_mut()
-            .device_mut()
-            .fold_timing_epoch(io_latency);
-        self.link.fold_timing_epoch(io_latency);
-        self.obs.fold_metrics_epoch(io_latency);
-        Ok(ReadMetrics {
+        let metrics = ReadMetrics {
             io_latency,
             io_occupancy,
             restructure: SimDuration::ZERO,
             commands,
             bytes: report.bytes,
-        })
+        };
+        scope.record_read(device, &metrics);
+        Ok(metrics)
     }
 
     fn delete_dataset(&mut self, id: DatasetId) -> Result<(), SystemError> {
-        let space = self
-            .datasets
-            .remove(&id)
-            .ok_or(SystemError::UnknownDataset(id))?;
-        self.stl.delete_space(space)?;
-        Ok(())
+        self.core.delete_dataset(id)
     }
 
     fn stats(&self) -> Stats {
-        let mut s = self.stats.clone();
-        s.merge(self.link.stats());
-        s.merge(self.stl.backend().stats());
-        s.merge(self.stl.backend().device().stats());
-        s.add("stl.plan_cache.hits", self.stl.plan_cache().hits());
-        s.add("stl.plan_cache.misses", self.stl.plan_cache().misses());
-        s
+        self.core.stats()
     }
 
     fn run_report(&self) -> RunReport {
-        let mut report = self.stats().to_report();
-        report.set_meta("arch", self.name());
-        report.absorb(&self.obs);
-        report.absorb(self.link.observability());
-        report.absorb(self.stl.backend().device().observability());
-        if let Some(t) = self.link.wire_timeline() {
-            report.add_timeline("link", t);
-        }
-        for (name, t) in self.stl.backend().device().timeline_snapshots() {
-            report.add_timeline(name, t);
-        }
-        report
+        self.core.run_report(self.name())
     }
 
     fn trace_export(&self) -> Option<TraceExport> {
-        let tracer = self.tracer.as_ref()?;
-        let device = self.stl.backend().device();
-        let mut events: Vec<Event> = self.obs.journal().events().copied().collect();
-        events.extend(self.link.observability().journal().events().copied());
-        events.extend(device.observability().journal().events().copied());
-        events.retain(|e| e.trace != 0);
-        // Stable sort: ties keep source order (system, link, flash).
-        events.sort_by_key(|e| e.at);
-        let (channels, banks) = device.lane_busy_totals();
-        Some(TraceExport {
-            events,
-            channels,
-            banks,
-            makespan: tracer.makespan(),
-            tenants: Vec::new(),
-        })
+        self.core.trace_export()
     }
 
     fn trace_cursor(&self) -> u64 {
-        self.tracer.as_ref().map_or(0, CommandTracer::commands)
+        self.core.scope.trace_cursor()
     }
 }
 
@@ -511,7 +337,7 @@ mod tests {
         let data = vec![1u8; 64 * 64 * 4];
         let w = sys.write(id, &shape, &[0, 0], &[64, 64], &data).unwrap();
         // LightNVM physical writes are page-granular.
-        let pages = (64 * 64 * 4) / sys.stl.backend().spec().unit_bytes as u64;
+        let pages = (64 * 64 * 4) / sys.stl().backend().spec().unit_bytes as u64;
         assert!(w.commands >= pages);
     }
 

@@ -7,6 +7,13 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
+# With NDS_BLESS_GOLDEN set, every golden test rewrites its file and
+# passes, so the run would check nothing.
+if [[ -n "${NDS_BLESS_GOLDEN+set}" ]]; then
+    echo "check.sh: NDS_BLESS_GOLDEN is set, which turns every golden test into rewrite-and-pass; unset it and rerun" >&2
+    exit 1
+fi
+
 echo "== cargo fmt --check"
 cargo fmt --all --check
 
